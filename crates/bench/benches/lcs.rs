@@ -1,9 +1,11 @@
 //! Ablation bench: Myers O(ND) vs quadratic DP vs Hirschberg, across input
 //! similarity — justifying the paper's choice of [Mye86] for near-identical
-//! sequences (FastMatch chains, child alignment) and our use of DP for
-//! short word sequences (sentence compare).
+//! sequences (FastMatch chains, child alignment) — plus the LaDiff sentence
+//! compare itself (`hierdiff_doc::word_distance`, the bit-parallel word-LCS
+//! kernel) on generated sentence pairs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hierdiff_doc::word_distance;
 use hierdiff_lcs::{lcs_dp, lcs_hirschberg, lcs_myers};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -37,16 +39,41 @@ fn bench_similarity_sweep(c: &mut Criterion) {
     g.finish();
 }
 
+/// `pairs` sentence pairs of `words` words each: the second sentence of a
+/// pair rewrites about a quarter of the first's words (an *update*, the
+/// common case for FastMatch's leaf compares).
+fn sentence_pairs(pairs: usize, words: usize, seed: u64) -> Vec<(String, String)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let word = |rng: &mut StdRng| format!("w{}", rng.gen_range(0..400));
+    (0..pairs)
+        .map(|_| {
+            let a: Vec<String> = (0..words).map(|_| word(&mut rng)).collect();
+            let b: Vec<String> = a
+                .iter()
+                .map(|w| {
+                    if rng.gen_range(0..4) == 0 {
+                        word(&mut rng)
+                    } else {
+                        w.clone()
+                    }
+                })
+                .collect();
+            (a.join(" ") + ".", b.join(" ") + ".")
+        })
+        .collect()
+}
+
 fn bench_sentence_words(c: &mut Criterion) {
-    // Sentence-sized inputs (the LaDiff compare path): DP shines here.
+    // The LaDiff compare path: one `word_distance` per pair.
     let mut g = c.benchmark_group("lcs/sentence-words");
-    let (a, b) = similar_pair(12, 3, 9);
-    g.bench_function("myers", |bench| {
-        bench.iter(|| lcs_myers(&a, &b, |x, y| x == y).len())
-    });
-    g.bench_function("dp", |bench| {
-        bench.iter(|| lcs_dp(&a, &b, |x, y| x == y).len())
-    });
+    for &words in &[12usize, 40, 130] {
+        let pairs = sentence_pairs(64, words, 9);
+        g.bench_with_input(
+            BenchmarkId::new("word_distance", words),
+            &words,
+            |bench, _| bench.iter(|| pairs.iter().map(|(a, b)| word_distance(a, b)).sum::<f64>()),
+        );
+    }
     g.finish();
 }
 

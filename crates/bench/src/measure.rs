@@ -5,6 +5,7 @@ use std::time::{Duration, Instant};
 
 use hierdiff_doc::DocValue;
 use hierdiff_edit::edit_script;
+use hierdiff_guard::Guard;
 use hierdiff_matching::{
     fast_match, fastmatch_bound, match_simple, BoundInputs, LabelClasses, MatchCounters,
     MatchParams,
@@ -91,7 +92,7 @@ pub fn measure_pair(
     params: MatchParams,
     which: WhichMatcher,
 ) -> PairMeasurement {
-    let classes = LabelClasses::classify(t1, t2);
+    let classes = crate::must(LabelClasses::classify(t1, t2, &Guard::unlimited()));
     let leaves = t1.leaves().count() + t2.leaves().count();
     let internal = (t1.len() + t2.len()) - leaves;
 

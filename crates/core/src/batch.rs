@@ -674,6 +674,8 @@ mod tests {
     }
 
     impl hierdiff_tree::NodeValue for Volatile {
+        type Prepared = ();
+
         fn null() -> Self {
             Volatile {
                 text: String::new(),
@@ -687,6 +689,10 @@ mod tests {
             } else {
                 2.0
             }
+        }
+        fn prepare(&self) {}
+        fn compare_prepared(&self, _: &(), other: &Self, _: &()) -> f64 {
+            self.compare(other)
         }
     }
 

@@ -54,5 +54,5 @@ pub use pipeline::{
     diff_trees, ladiff, DocFormat, Engine, LaDiffOptions, LaDiffOutput, LaDiffStats,
 };
 pub use segment::{normalize_ws, split_paragraphs, split_sentences};
-pub use value::{word_distance, words, DocValue};
+pub use value::{word_distance, words, DocValue, WordTokens};
 pub use xml::{parse_xml, text_label, XmlError};

@@ -1,9 +1,9 @@
 //! Classic quadratic dynamic-programming LCS (Wagner–Fischer style).
 //!
 //! O(|a|·|b|) time and space. Serves as the reference oracle for the other
-//! implementations and as the preferred algorithm for short sequences (its
-//! inner loop is branch-light, so for sentence-length inputs it often beats
-//! Myers despite the worse asymptotics — measured in `benches/lcs.rs`).
+//! implementations (and for `hierdiff-doc`'s bit-parallel sentence kernel)
+//! and as the [`LcsAlgorithm::Dp`](crate::LcsAlgorithm::Dp) ablation in
+//! `benches/lcs.rs`.
 
 use crate::Pair;
 

@@ -9,8 +9,9 @@
 //!   uses `equal(u, v) ⇔ (u, v) ∈ M`.
 //! * Algorithm *FastMatch* (Figure 11) calls the same procedure per label
 //!   chain, with `equal` being the leaf/internal matching criteria.
-//! * The *LaDiff* sentence comparison (Section 7) computes the LCS of the
-//!   words of two sentences.
+//! * The *LaDiff* sentence comparison (Section 7) needs only the *length*
+//!   of the LCS of two sentences' words; `hierdiff-doc` counts it with a
+//!   bit-parallel kernel specialised to word tokens, not with this crate.
 //!
 //! Section 7 notes: "we cannot use the LCS algorithm used by the standard
 //! UNIX diff program, because it requires inequality comparisons in addition
@@ -24,8 +25,8 @@
 //!   paper uses (`N = |S1| + |S2|`, `D = N − 2|LCS|`). Fast when the
 //!   sequences are similar, which is the paper's common case.
 //! * [`lcs_dp`] — the classic O(N·M) dynamic program. Simple, predictable;
-//!   the oracle for tests and the right choice for short, dissimilar
-//!   sequences (e.g. sentence words).
+//!   the oracle for tests (including the sentence-compare kernel's
+//!   differential test) and the [`LcsAlgorithm::Dp`] ablation.
 //! * [`lcs_hirschberg`] — linear-space divide-and-conquer DP, for very long
 //!   sequences where the quadratic table would not fit.
 
@@ -132,11 +133,6 @@ pub fn lcs_with<T, U>(
     }
 }
 
-/// `|LCS(S1, S2)|` without materializing the pairs.
-pub fn lcs_len<T, U>(a: &[T], b: &[U], equal: impl FnMut(&T, &U) -> bool) -> usize {
-    lcs_myers(a, b, equal).len()
-}
-
 /// Validates that `pairs` is a common subsequence of `a` and `b` under
 /// `equal`: strictly increasing in both coordinates, all pairs equal.
 /// (Used by tests; exported because the matching crate's tests reuse it.)
@@ -236,12 +232,5 @@ mod tests {
 
     fn chars(s: &str) -> Vec<char> {
         s.chars().collect()
-    }
-
-    #[test]
-    fn lcs_len_matches_pairs() {
-        let a: Vec<u8> = b"kitten".to_vec();
-        let b: Vec<u8> = b"sitting".to_vec();
-        assert_eq!(lcs_len(&a, &b, |x, y| x == y), 4); // i t t n
     }
 }

@@ -60,7 +60,7 @@ pub fn bounded_greedy_match<V: NodeValue>(
     guard: &Guard,
     window: usize,
 ) -> Result<MatchResult, MatchError> {
-    let classes = LabelClasses::classify(t1, t2);
+    let classes = LabelClasses::classify(t1, t2, guard)?;
     let mut ctx = MatchCtx::new(t1, t2, params, &classes);
     let mut m = seed;
     let chains1 = label_chains(t1);

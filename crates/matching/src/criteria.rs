@@ -13,7 +13,10 @@
 //! [`MatchCtx`] precomputes everything the per-pair equality tests need:
 //! contained-leaf counts `|x|`, contiguous leaf ranges per subtree, and
 //! pre-order intervals for O(1) containment — keeping each internal-node
-//! comparison at the `min(|x|, |y|)` cost Appendix B charges for it.
+//! comparison at the `min(|x|, |y|)` cost Appendix B charges for it. It also
+//! caches each leaf's prepared value ([`NodeValue::prepare`]) the first time
+//! Criterion 1 sees the leaf, so the `c` of the paper's `r1·c + r2` cost is
+//! paid without re-deriving a leaf's comparison state on every compare.
 
 use hierdiff_edit::Matching;
 use hierdiff_tree::{Intervals, NodeId, NodeValue, Tree};
@@ -191,6 +194,28 @@ impl LeafRanges {
     }
 }
 
+/// Per-run cache of prepared leaf values, one slot per arena index of one
+/// tree. Slots fill on first use and the table itself is only allocated by
+/// the first compare, so a run that compares no leaves (a fully pruned pair)
+/// pays nothing.
+struct PreparedCache<P> {
+    slots: Vec<Option<P>>,
+}
+
+impl<P> PreparedCache<P> {
+    fn new() -> PreparedCache<P> {
+        PreparedCache { slots: Vec::new() }
+    }
+
+    /// The prepared value of node `x` of `tree`, preparing it on first use.
+    fn get<V: NodeValue<Prepared = P>>(&mut self, tree: &Tree<V>, x: NodeId) -> &P {
+        if self.slots.is_empty() {
+            self.slots.resize_with(tree.arena_len(), || None);
+        }
+        at_mut(&mut self.slots, x.index()).get_or_insert_with(|| tree.value(x).prepare())
+    }
+}
+
 /// Precomputed evaluation context for one `(T1, T2)` pair.
 pub struct MatchCtx<'a, V: NodeValue> {
     /// The old tree.
@@ -212,6 +237,10 @@ pub struct MatchCtx<'a, V: NodeValue> {
     /// Instrumentation (interior mutability not needed — methods take
     /// `&mut self`).
     pub counters: MatchCounters,
+    /// Prepared leaf values of `t1`, filled by [`MatchCtx::equal_leaves`].
+    prepared1: PreparedCache<V::Prepared>,
+    /// Prepared leaf values of `t2`.
+    prepared2: PreparedCache<V::Prepared>,
 }
 
 impl<'a, V: NodeValue> MatchCtx<'a, V> {
@@ -232,18 +261,24 @@ impl<'a, V: NodeValue> MatchCtx<'a, V> {
             iv1: Intervals::new(t1),
             iv2: Intervals::new(t2),
             counters: MatchCounters::default(),
+            prepared1: PreparedCache::new(),
+            prepared2: PreparedCache::new(),
         }
     }
 
     /// Matching Criterion 1: may leaves `x ∈ T1` and `y ∈ T2` match?
-    /// Counts one leaf compare.
+    /// Counts one leaf compare. Compares through the cached prepared forms,
+    /// which by [`NodeValue`]'s contract decides exactly as
+    /// `compare(v(x), v(y)) <= f`.
     pub fn equal_leaves(&mut self, x: NodeId, y: NodeId) -> bool {
         self.counters.match_candidates += 1;
         if self.t1.label(x) != self.t2.label(y) {
             return false;
         }
         self.counters.leaf_compares += 1;
-        self.t1.value(x).compare(self.t2.value(y)) <= self.params.leaf_threshold
+        let px = self.prepared1.get(self.t1, x);
+        let py = self.prepared2.get(self.t2, y);
+        self.t1.value(x).compare_prepared(px, self.t2.value(y), py) <= self.params.leaf_threshold
     }
 
     /// Matching Criterion 2: may internal nodes `x ∈ T1` and `y ∈ T2` match
@@ -302,6 +337,7 @@ impl<'a, V: NodeValue> MatchCtx<'a, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hierdiff_guard::Guard;
     use hierdiff_tree::Tree;
 
     fn doc(s: &str) -> Tree<String> {
@@ -339,7 +375,7 @@ mod tests {
     #[test]
     fn leaf_ranges_are_contiguous() {
         let t = doc(r#"(D (P (S "a") (S "b")) (Sec (P (S "c"))) (S "d"))"#);
-        let classes = LabelClasses::classify(&t, &t);
+        let classes = LabelClasses::classify(&t, &t, &Guard::unlimited()).unwrap();
         let lr = LeafRanges::new(&t, &classes);
         assert_eq!(lr.order.len(), 4);
         assert_eq!(lr.count(t.root()), 4);
@@ -360,7 +396,7 @@ mod tests {
     fn equal_leaves_applies_criterion_1() {
         let t1 = doc(r#"(D (S "hello"))"#);
         let t2 = doc(r#"(D (S "hello") (P "hello"))"#);
-        let classes = LabelClasses::classify(&t1, &t2);
+        let classes = LabelClasses::classify(&t1, &t2, &Guard::unlimited()).unwrap();
         let mut ctx = ctx_for(&t1, &t2, MatchParams::default(), &classes);
         let x = t1.children(t1.root())[0];
         let y_same = t2.children(t2.root())[0];
@@ -372,11 +408,34 @@ mod tests {
     }
 
     #[test]
+    fn cached_equal_leaves_decides_as_compare() {
+        use hierdiff_workload::{generate_document, perturb, DocProfile, EditMix};
+        let profile = DocProfile::default();
+        let t1 = generate_document(15, &profile);
+        let (t2, _) = perturb(&t1, 16, 40, &EditMix::default(), &profile);
+        let classes = LabelClasses::classify(&t1, &t2, &Guard::unlimited()).unwrap();
+        for f in [0.0, 0.25, 0.5, 1.0] {
+            let params = MatchParams::default().with_leaf_threshold(f);
+            let mut ctx = MatchCtx::new(&t1, &t2, params, &classes);
+            let (leaves1, leaves2) = (ctx.leaves1.order.clone(), ctx.leaves2.order.clone());
+            let mut matched = 0usize;
+            for &x in &leaves1 {
+                for &y in &leaves2 {
+                    let want = t1.label(x) == t2.label(y) && t1.value(x).compare(t2.value(y)) <= f;
+                    assert_eq!(ctx.equal_leaves(x, y), want, "f = {f}, pair ({x:?}, {y:?})");
+                    matched += usize::from(want);
+                }
+            }
+            assert!(matched > 0 && matched < leaves1.len() * leaves2.len());
+        }
+    }
+
+    #[test]
     fn equal_internal_needs_common_fraction() {
         // x has leaves a b c; y1 shares all 3; y2 shares 1 of 3.
         let t1 = doc(r#"(D (P (S "a") (S "b") (S "c")))"#);
         let t2 = doc(r#"(D (P (S "a") (S "b") (S "c")) (P (S "a") (S "x") (S "y")))"#);
-        let classes = LabelClasses::classify(&t1, &t2);
+        let classes = LabelClasses::classify(&t1, &t2, &Guard::unlimited()).unwrap();
         let mut ctx = ctx_for(&t1, &t2, MatchParams::default(), &classes);
         let p1 = t1.children(t1.root())[0];
         let q1 = t2.children(t2.root())[0];
@@ -396,7 +455,7 @@ mod tests {
     fn common_iterates_smaller_side() {
         let t1 = doc(r#"(D (P (S "a")))"#);
         let t2 = doc(r#"(D (P (S "a") (S "b") (S "c") (S "d")))"#);
-        let classes = LabelClasses::classify(&t1, &t2);
+        let classes = LabelClasses::classify(&t1, &t2, &Guard::unlimited()).unwrap();
         let mut ctx = ctx_for(&t1, &t2, MatchParams::default(), &classes);
         let p1 = t1.children(t1.root())[0];
         let q1 = t2.children(t2.root())[0];
@@ -411,7 +470,7 @@ mod tests {
     fn empty_internal_nodes_match_only_each_other() {
         let t1 = doc(r#"(D (P) (P (S "a")))"#);
         let t2 = doc(r#"(D (P) (P (S "a")))"#);
-        let classes = LabelClasses::classify(&t1, &t2);
+        let classes = LabelClasses::classify(&t1, &t2, &Guard::unlimited()).unwrap();
         let mut ctx = ctx_for(&t1, &t2, MatchParams::default(), &classes);
         let e1 = t1.children(t1.root())[0];
         let f1 = t1.children(t1.root())[1];
@@ -434,7 +493,7 @@ mod tests {
         let mut m = Matching::new();
         m.insert(t1.children(p1)[0], t2.children(q1)[0]).unwrap();
         // common = 1, max = 2 → ratio 0.5.
-        let classes = LabelClasses::classify(&t1, &t2);
+        let classes = LabelClasses::classify(&t1, &t2, &Guard::unlimited()).unwrap();
         let mut ctx = ctx_for(&t1, &t2, MatchParams::with_inner_threshold(0.5), &classes);
         assert!(!ctx.equal_internal(p1, q1, &m), "ratio == t must fail");
         let mut ctx = ctx_for(

@@ -89,7 +89,7 @@ fn fast_match_governed<V: NodeValue>(
     // The setup passes are each O(N); checkpoints between them bound how
     // long a fired cancel token or expired deadline can go unnoticed on
     // very large inputs (the per-label loops below tick per element).
-    let classes = LabelClasses::classify(t1, t2);
+    let classes = LabelClasses::classify(t1, t2, guard)?;
     guard.checkpoint()?;
     let mut ctx = MatchCtx::new(t1, t2, params, &classes);
     guard.checkpoint()?;

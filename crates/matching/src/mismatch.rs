@@ -18,6 +18,7 @@
 //! at `t = 1` a single ambiguous leaf suffices, at `t = 1/2` more than half
 //! the leaves must be ambiguous.
 
+use hierdiff_guard::Guard;
 use hierdiff_tree::{Label, NodeId, NodeValue, Tree};
 
 use crate::criteria::{LeafRanges, MatchParams};
@@ -55,7 +56,9 @@ impl Criterion3Report {
 /// Checks Matching Criterion 3 exhaustively (O(n²) leaf compares — an
 /// offline analysis, not part of the matching algorithms).
 pub fn check_criterion3<V: NodeValue>(t1: &Tree<V>, t2: &Tree<V>) -> Criterion3Report {
-    let classes = LabelClasses::classify(t1, t2);
+    let Ok(classes) = LabelClasses::classify(t1, t2, &Guard::unlimited()) else {
+        return Criterion3Report::default(); // an unlimited guard never trips
+    };
     let l1 = LeafRanges::new(t1, &classes);
     let l2 = LeafRanges::new(t2, &classes);
     let mut report = Criterion3Report {
@@ -104,7 +107,9 @@ pub fn mismatch_upper_bound<V: NodeValue>(
     params: MatchParams,
     label: Option<Label>,
 ) -> f64 {
-    let classes = LabelClasses::classify(t1, t2);
+    let Ok(classes) = LabelClasses::classify(t1, t2, &Guard::unlimited()) else {
+        return 0.0; // an unlimited guard never trips
+    };
     let ranges = LeafRanges::new(t1, &classes);
     let report = check_criterion3(t1, t2);
     let mut violating = vec![false; t1.arena_len()];

@@ -10,6 +10,7 @@
 //! Matching Criterion 3 does not hold."
 
 use hierdiff_edit::Matching;
+use hierdiff_guard::Guard;
 use hierdiff_tree::{NodeValue, Tree};
 
 use crate::criteria::{MatchCtx, MatchParams};
@@ -33,7 +34,7 @@ pub fn postprocess<V: NodeValue>(
     params: MatchParams,
     matching: &mut Matching,
 ) -> Result<usize, MatchError> {
-    let classes = LabelClasses::classify(t1, t2);
+    let classes = LabelClasses::classify(t1, t2, &Guard::unlimited())?;
     let mut ctx = MatchCtx::new(t1, t2, params, &classes);
     let mut rematched = 0;
 

@@ -15,6 +15,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use hierdiff_guard::{Guard, GuardError};
 use hierdiff_tree::{Label, NodeValue, Tree};
 
 use crate::error::MatchError;
@@ -54,18 +55,27 @@ impl LabelClasses {
     /// document order; internal labels are ordered by ascending maximum node
     /// height, so that processing them in order visits the hierarchy
     /// bottom-up (paragraphs before sections before documents).
-    pub fn classify<V: NodeValue>(t1: &Tree<V>, t2: &Tree<V>) -> LabelClasses {
+    ///
+    /// `guard` is ticked once per node of each pass, so a fired cancel token
+    /// or expired deadline stops classification of very large inputs
+    /// promptly; pass [`Guard::unlimited`] to run ungoverned (it cannot
+    /// fail).
+    pub fn classify<V: NodeValue>(
+        t1: &Tree<V>,
+        t2: &Tree<V>,
+        guard: &Guard,
+    ) -> Result<LabelClasses, GuardError> {
         // max height per label, and whether any bearer is internal.
         let mut max_height: HashMap<Label, usize> = HashMap::new();
         let mut any_internal: HashMap<Label, bool> = HashMap::new();
         let mut seen_order: Vec<Label> = Vec::new();
         for tree in [t1, t2] {
-            // analyze: allow(S031) O(n) label-classification pre-pass
+            guard.checkpoint()?;
             // Dense per-node heights in one postorder pass (Tree::height
             // recomputes recursively per call — O(subtree) each).
             let mut heights = vec![0usize; tree.arena_len()];
             for id in tree.postorder() {
-                // analyze: allow(S031) O(n) height pass
+                guard.tick()?;
                 let h = tree
                     .children(id)
                     .iter()
@@ -75,7 +85,7 @@ impl LabelClasses {
                 *height_slot(&mut heights, id.index()) = h;
             }
             for id in tree.preorder() {
-                // analyze: allow(S031) O(n) label scan
+                guard.tick()?;
                 let l = tree.label(id);
                 let h = height_of(&heights, id.index());
                 let e = max_height.entry(l).or_insert_with(|| {
@@ -97,10 +107,10 @@ impl LabelClasses {
             }
         }
         internal_labels.sort_by_key(|l| *seeded(&max_height, l));
-        LabelClasses {
+        Ok(LabelClasses {
             leaf_labels,
             internal_labels,
-        }
+        })
     }
 
     /// Number of internal-node labels — the `l` in the FastMatch running-time
@@ -238,7 +248,7 @@ mod tests {
     fn classify_document_schema() {
         let t1 = doc(r#"(Doc (Sec (P (S "a"))) (P (S "b")))"#);
         let t2 = doc(r#"(Doc (Sec (P (S "c"))))"#);
-        let c = LabelClasses::classify(&t1, &t2);
+        let c = LabelClasses::classify(&t1, &t2, &Guard::unlimited()).unwrap();
         assert_eq!(
             c.leaf_labels,
             vec![Label::intern("S")],
@@ -261,9 +271,24 @@ mod tests {
         // An empty P in t1 is a leaf, but P is internal elsewhere.
         let t1 = doc(r#"(Doc (P))"#);
         let t2 = doc(r#"(Doc (P (S "a")))"#);
-        let c = LabelClasses::classify(&t1, &t2);
+        let c = LabelClasses::classify(&t1, &t2, &Guard::unlimited()).unwrap();
         assert!(c.internal_labels.contains(&Label::intern("P")));
         assert!(!c.leaf_labels.contains(&Label::intern("P")));
+    }
+
+    #[test]
+    fn classify_stops_on_a_fired_guard() {
+        use hierdiff_guard::{Budgets, CancelToken};
+        let big: Vec<String> = (0..1000).map(|i| format!("(S \"s{i}\")")).collect();
+        let t = doc(&format!("(D (P {}))", big.join(" ")));
+        let token = CancelToken::new();
+        let guard = Guard::new(Budgets::unlimited(), Some(token.clone()));
+        assert!(LabelClasses::classify(&t, &t, &guard).is_ok());
+        token.cancel();
+        assert_eq!(
+            LabelClasses::classify(&t, &t, &guard).unwrap_err(),
+            GuardError::Cancelled
+        );
     }
 
     #[test]

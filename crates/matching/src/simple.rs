@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 
 use hierdiff_edit::Matching;
+use hierdiff_guard::Guard;
 use hierdiff_tree::{Label, NodeId, NodeValue, Tree};
 
 use crate::criteria::{MatchCounters, MatchCtx, MatchParams};
@@ -47,7 +48,7 @@ pub fn match_simple<V: NodeValue>(
     t2: &Tree<V>,
     params: MatchParams,
 ) -> Result<MatchResult, MatchError> {
-    let classes = LabelClasses::classify(t1, t2);
+    let classes = LabelClasses::classify(t1, t2, &Guard::unlimited())?;
     let mut ctx = MatchCtx::new(t1, t2, params, &classes);
     let mut m = Matching::with_capacity(t1.arena_len(), t2.arena_len());
     let chains1 = label_chains(t1);

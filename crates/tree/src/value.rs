@@ -15,7 +15,27 @@
 ///
 /// `Hash` is required so subtree fingerprints (the identical-subtree pruning
 /// accelerator) can digest values; hashing must agree with `PartialEq`.
+///
+/// # Prepared form
+///
+/// Matchers compare each leaf against many candidates (FastMatch's cost is
+/// `r1·c + r2`, Section 8), so a value may precompute whatever its
+/// `compare` would otherwise rebuild on every call — e.g. a sentence's word
+/// tokens. [`NodeValue::prepare`] builds that form once;
+/// [`NodeValue::compare_prepared`] consumes it. The contract is exact:
+///
+/// ```text
+/// a.compare_prepared(&a.prepare(), b, &b.prepare()) == a.compare(b)   // bit for bit
+/// ```
+///
+/// so a caller may cache prepared forms (the matching crate keeps one per
+/// leaf for the length of a matching run) without changing any decision.
+/// Values with nothing to precompute use `type Prepared = ();` and forward
+/// to `compare`.
 pub trait NodeValue: Clone + PartialEq + std::hash::Hash + std::fmt::Debug {
+    /// Precomputed comparison state for one value (see "Prepared form").
+    type Prepared;
+
     /// The default ("null") value carried by nodes that do not specify one.
     fn null() -> Self;
 
@@ -30,6 +50,19 @@ pub trait NodeValue: Clone + PartialEq + std::hash::Hash + std::fmt::Debug {
     /// Implementations must be symmetric (`compare(a, b) == compare(b, a)`)
     /// and return `0.0` when `a == b`.
     fn compare(&self, other: &Self) -> f64;
+
+    /// Builds this value's prepared form.
+    fn prepare(&self) -> Self::Prepared;
+
+    /// [`NodeValue::compare`] from prepared forms: `prepared` must come from
+    /// `self.prepare()` and `other_prepared` from `other.prepare()`. Must
+    /// equal `self.compare(other)` bit for bit.
+    fn compare_prepared(
+        &self,
+        prepared: &Self::Prepared,
+        other: &Self,
+        other_prepared: &Self::Prepared,
+    ) -> f64;
 }
 
 /// `String` values compare by exact equality: distance `0` when equal,
@@ -40,6 +73,8 @@ pub trait NodeValue: Clone + PartialEq + std::hash::Hash + std::fmt::Debug {
 /// paper's *LaDiff* system (Section 7) — lives in `hierdiff-doc`, which wraps
 /// text in its own value type.
 impl NodeValue for String {
+    type Prepared = ();
+
     fn null() -> Self {
         String::new()
     }
@@ -51,20 +86,36 @@ impl NodeValue for String {
             2.0
         }
     }
+
+    fn prepare(&self) {}
+
+    fn compare_prepared(&self, _: &(), other: &Self, _: &()) -> f64 {
+        self.compare(other)
+    }
 }
 
 /// Unit values for purely structural trees (every node null-valued).
 impl NodeValue for () {
+    type Prepared = ();
+
     fn null() -> Self {}
 
     fn compare(&self, _other: &Self) -> f64 {
         0.0
+    }
+
+    fn prepare(&self) {}
+
+    fn compare_prepared(&self, _: &(), other: &Self, _: &()) -> f64 {
+        self.compare(other)
     }
 }
 
 /// Integer values (useful for tests and synthetic workloads): distance `0`
 /// when equal, `2` otherwise.
 impl NodeValue for u64 {
+    type Prepared = ();
+
     fn null() -> Self {
         0
     }
@@ -75,6 +126,12 @@ impl NodeValue for u64 {
         } else {
             2.0
         }
+    }
+
+    fn prepare(&self) {}
+
+    fn compare_prepared(&self, _: &(), other: &Self, _: &()) -> f64 {
+        self.compare(other)
     }
 }
 
@@ -103,6 +160,15 @@ mod tests {
     fn unit_values_always_equal() {
         assert_eq!(().compare(&()), 0.0);
         assert!(().is_null());
+    }
+
+    #[test]
+    fn trivial_prepared_forms_forward_to_compare() {
+        let (a, b) = ("x".to_string(), "y".to_string());
+        assert_eq!(a.compare_prepared(&a.prepare(), &b, &b.prepare()), 2.0);
+        assert_eq!(a.compare_prepared(&a.prepare(), &a, &a.prepare()), 0.0);
+        assert_eq!(3u64.compare_prepared(&(), &4, &()), 2.0);
+        assert_eq!(().compare_prepared(&(), &(), &()), 0.0);
     }
 
     #[test]

@@ -154,7 +154,7 @@ proptest! {
         t2 in arb_tree(20, &["D", "P", "S"]),
     ) {
         let matched = fast_match(&t1, &t2, MatchParams::default()).unwrap();
-        let classes = hierdiff::matching::LabelClasses::classify(&t1, &t2);
+        let classes = hierdiff::matching::LabelClasses::classify(&t1, &t2, &hierdiff::guard::Guard::unlimited()).unwrap();
         for (x, y) in matched.matching.iter() {
             prop_assert_eq!(t1.label(x), t2.label(y));
             // Criterion 1 applies to leaf-classified labels (a label the
