@@ -1,6 +1,7 @@
 //! Differential migration suite for the flat preorder-contiguous tree
 //! arena: the full pipeline (match → edit script → delta → audit, with and
-//! without the identical-subtree prune pass) is run over the fixture corpus
+//! without the identical-subtree prune pass, and under GumTree with and
+//! without its recovery pass) is run over the fixture corpus
 //! and a seeded randomized document corpus, and every observable output —
 //! rendered edit script, `DiffProfile` cost-model counters, audit finding
 //! codes, matching size, delta size — is compared byte-for-byte against
@@ -17,6 +18,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
+use hierdiff::matching::GumTreeParams;
 use hierdiff::tree::Tree;
 use hierdiff::workload::{generate_document, perturb, DocProfile, EditMix};
 use hierdiff::{Audit, DiffResult, Differ, MatchStrategy};
@@ -100,6 +102,11 @@ fn run_case<V: hierdiff::tree::NodeValue>(
         ("fast", MatchStrategy::fast()),
         ("fast+prune", MatchStrategy::fast_pruned()),
         ("simple", MatchStrategy::Simple),
+        ("gumtree", MatchStrategy::gumtree()),
+        (
+            "gumtree-no-recovery",
+            MatchStrategy::GumTree(GumTreeParams::default().with_max_recovery_size(0)),
+        ),
     ] {
         let r = Differ::new()
             .strategy(strategy)
