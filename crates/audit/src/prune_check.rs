@@ -107,7 +107,7 @@ mod tests {
     fn genuine_prune_seed_is_clean() {
         let t1 = doc(r#"(D (Sec (P (S "k") (S "l"))) (Sec (P (S "m"))) (S "q"))"#);
         let t2 = doc(r#"(D (Sec (P (S "m"))) (Sec (P (S "k") (S "l"))) (S "r"))"#);
-        let (seed, _) = prune_identical(&t1, &t2).unwrap();
+        let (seed, _) = prune_identical(&t1, &t2, &Default::default()).unwrap();
         assert!(!seed.is_empty());
         let r = audit_prune(&t1, &t2, &seed, None);
         assert!(r.is_clean() && r.is_empty(), "{r}");
@@ -139,7 +139,7 @@ mod tests {
     fn dropped_seed_pair_is_a031_warning() {
         let t1 = doc(r#"(D (S "a"))"#);
         let t2 = doc(r#"(D (S "a"))"#);
-        let (seed, _) = prune_identical(&t1, &t2).unwrap();
+        let (seed, _) = prune_identical(&t1, &t2, &Default::default()).unwrap();
         assert!(!seed.is_empty());
         let r = audit_prune(&t1, &t2, &seed, Some(&Matching::new()));
         assert!(r.has_code(Code::A031), "{r}");

@@ -174,7 +174,7 @@ fn script_not_conforming_to_claimed_matching_is_a024() {
 fn genuine_prune_seed_is_clean() {
     let t1 = doc(r#"(D (P (S "same") (S "same2")) (P (S "x")))"#);
     let t2 = doc(r#"(D (P (S "same") (S "same2")) (P (S "y")))"#);
-    let (seed, _) = prune_identical(&t1, &t2).unwrap();
+    let (seed, _) = prune_identical(&t1, &t2, &Default::default()).unwrap();
     let matched = fast_match(&t1, &t2, MatchParams::default()).unwrap();
     let r = audit_prune(&t1, &t2, &seed, Some(&matched.matching));
     assert!(r.is_clean(), "{r}");

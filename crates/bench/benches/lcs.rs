@@ -6,7 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hierdiff_doc::word_distance;
-use hierdiff_lcs::{lcs_dp, lcs_hirschberg, lcs_myers};
+use hierdiff_guard::Guard;
+use hierdiff_lcs::{lcs_dp, lcs_hirschberg, lcs_myers, LcsStats};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Builds two sequences of length `n` differing in `edits` random
@@ -27,7 +28,11 @@ fn bench_similarity_sweep(c: &mut Criterion) {
     for &edits in &[2usize, 32, 256] {
         let (a, b) = similar_pair(1024, edits, 7);
         g.bench_with_input(BenchmarkId::new("myers", edits), &edits, |bench, _| {
-            bench.iter(|| lcs_myers(&a, &b, |x, y| x == y).len())
+            bench.iter(|| {
+                let mut stats = LcsStats::default();
+                lcs_myers(&a, &b, |x, y| x == y, &mut stats, &Guard::unlimited())
+                    .map_or(0, |pairs| pairs.len())
+            })
         });
         g.bench_with_input(BenchmarkId::new("dp", edits), &edits, |bench, _| {
             bench.iter(|| lcs_dp(&a, &b, |x, y| x == y).len())

@@ -12,7 +12,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hierdiff_core::Differ;
 use hierdiff_doc::DocValue;
-use hierdiff_matching::{fast_match, fast_match_accelerated, MatchParams};
+use hierdiff_guard::Guard;
+use hierdiff_matching::{fast_match, fast_match_seeded, prune_identical, MatchParams};
 use hierdiff_tree::Tree;
 use hierdiff_workload::{generate_document, perturb, DocProfile, EditMix};
 
@@ -44,7 +45,8 @@ fn bench_prune_sweep(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("pruned", nodes), &nodes, |b, _| {
             b.iter(|| {
-                fast_match_accelerated(&t1, &t2, MatchParams::default())
+                let (seed, _) = prune_identical(&t1, &t2, &Guard::unlimited()).unwrap();
+                fast_match_seeded(&t1, &t2, MatchParams::default(), seed)
                     .unwrap()
                     .matching
                     .len()

@@ -733,11 +733,12 @@ fn greedy_alignment_moves(t1: &Tree<DocValue>, t2: &Tree<DocValue>, m: &Matching
 }
 
 /// Ablation — the identical-subtree pre-matching accelerator
-/// (`fast_match_accelerated`): comparison counts with and without the
-/// fingerprint pre-pass, across edit intensities (the fewer the changes,
+/// (`prune_identical` seeding `fast_match_seeded`): comparison counts with
+/// and without the fingerprint pre-pass, across edit intensities (the fewer the changes,
 /// the more of the document the pre-pass disposes of wholesale).
 pub fn prematch_ablation() -> String {
-    use hierdiff_matching::fast_match_accelerated;
+    use hierdiff_guard::Guard;
+    use hierdiff_matching::{fast_match_seeded, prune_identical};
     let mut out =
         String::from("## Ablation — identical-subtree pre-matching (fingerprint accelerator)\n\n");
     let profile = DocProfile::large();
@@ -758,7 +759,8 @@ pub fn prematch_ablation() -> String {
             &profile,
         );
         let plain = must(fast_match(&t1, &t2, MatchParams::default()));
-        let accel = must(fast_match_accelerated(&t1, &t2, MatchParams::default()));
+        let (seed, _) = must(prune_identical(&t1, &t2, &Guard::unlimited()));
+        let accel = must(fast_match_seeded(&t1, &t2, MatchParams::default(), seed));
         let pc = plain.counters.total();
         let ac = accel.counters.total();
         table.row(&[

@@ -149,8 +149,9 @@ impl<'o> Differ<'o> {
 
     /// Toggles the identical-subtree pruning pre-pass of the FastMatch
     /// strategy ([`FastMatchConfig::prune`](crate::FastMatchConfig)).
-    /// A no-op under any other strategy (GumTree's top-down phase already
-    /// anchors identical subtrees wholesale).
+    /// A no-op under any other strategy: GumTree's top-down phase is the
+    /// same anchoring pass, run with its own height floor and pairing
+    /// ambiguous fragments in document order.
     pub fn prune(mut self, prune: bool) -> Differ<'o> {
         if let MatchStrategy::FastMatch(config) = &mut self.config.strategy {
             config.prune = prune;

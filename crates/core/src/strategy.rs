@@ -44,9 +44,9 @@ use crate::{flush_match_counters, span_end, span_start, DiffError, PipelineConfi
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FastMatchConfig {
     /// Run the identical-subtree pruning pre-pass before matching
-    /// ([`hierdiff_matching::prune_identical`]): maximal unchanged
-    /// fragments are fingerprint-matched wholesale and skipped by the
-    /// criteria. Counters surface as `nodes_pruned` / `prune_candidates` /
+    /// ([`hierdiff_matching::prune_identical`], under the pipeline's
+    /// guard): maximal unchanged fragments are fingerprint-matched
+    /// wholesale and skipped by the criteria. Counters surface as `nodes_pruned` / `prune_candidates` /
     /// `prune_collisions`. Off by default.
     pub prune: bool,
 }
@@ -160,7 +160,7 @@ pub(crate) fn run_strategy<V: NodeValue>(
         Some((seed.clone(), stats))
     } else if matches!(&config.strategy, MatchStrategy::FastMatch(c) if c.prune) {
         span_start(obs, Phase::Prune);
-        let (seed, stats) = match prune_identical(old, new) {
+        let (seed, stats) = match prune_identical(old, new, guard) {
             Ok(v) => v,
             Err(e) => {
                 span_end(obs, Phase::Prune);

@@ -29,8 +29,8 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use hierdiff_core::{Budgets, DiffError, GumTreeParams};
-use hierdiff_doc::{ladiff, DocError, DocFormat, Engine, LaDiffOptions};
+use hierdiff_core::{Budgets, DiffError, GumTreeParams, MatchStrategy};
+use hierdiff_doc::{ladiff, DocError, DocFormat, LaDiffOptions};
 use hierdiff_matching::MatchParams;
 
 struct Args {
@@ -38,7 +38,7 @@ struct Args {
     new: String,
     t: f64,
     f: f64,
-    engine: Engine,
+    strategy: MatchStrategy,
     format: Option<DocFormat>,
     postprocess: bool,
     budgets: Budgets,
@@ -115,7 +115,7 @@ fn parse_args() -> Result<Args, String> {
         new: String::new(),
         t: 0.6,
         f: 0.5,
-        engine: Engine::Fast,
+        strategy: MatchStrategy::fast(),
         format: None,
         postprocess: false,
         budgets: Budgets::unlimited(),
@@ -144,10 +144,10 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad -f: {e}"))?
             }
             "-s" | "--strategy" | "--engine" => {
-                args.engine = match take("--strategy")?.as_str() {
-                    "fast" | "fastmatch" => Engine::Fast,
-                    "simple" => Engine::Simple,
-                    "gumtree" => Engine::GumTree(GumTreeParams::default()),
+                args.strategy = match take("--strategy")?.as_str() {
+                    "fast" | "fastmatch" => MatchStrategy::fast(),
+                    "simple" => MatchStrategy::Simple,
+                    "gumtree" => MatchStrategy::GumTree(GumTreeParams::default()),
                     other => {
                         return Err(format!(
                             "unknown strategy {other:?} (expected fastmatch, simple, or gumtree)"
@@ -229,7 +229,7 @@ fn parse_args() -> Result<Args, String> {
     }
     // The gumtree knobs are applied after the loop so they compose with
     // `--strategy` in either order.
-    if let Engine::GumTree(params) = &mut args.engine {
+    if let MatchStrategy::GumTree(params) = &mut args.strategy {
         if let Some(h) = min_height {
             *params = params.with_min_height(h);
         }
@@ -263,7 +263,7 @@ fn run() -> Result<(), Failure> {
     let format = args.format.unwrap_or_else(|| DocFormat::sniff(&old_src));
     let options = LaDiffOptions {
         params: MatchParams::with_inner_threshold(args.t).with_leaf_threshold(args.f),
-        engine: args.engine,
+        strategy: args.strategy,
         postprocess: args.postprocess,
         format,
         budgets: args.budgets,
@@ -278,12 +278,7 @@ fn run() -> Result<(), Failure> {
         Output::Delta => println!("{}", hierdiff_delta::render_text(&out.delta)),
         Output::Stats => {
             let s = &out.stats;
-            let strategy = match args.engine {
-                Engine::Fast => "fastmatch",
-                Engine::Simple => "simple",
-                Engine::GumTree(_) => "gumtree",
-            };
-            println!("strategy:          {strategy}");
+            println!("strategy:          {}", options.strategy.name());
             println!("old nodes:         {}", s.old_nodes);
             println!("new nodes:         {}", s.new_nodes);
             println!("matched pairs:     {}", s.matched);

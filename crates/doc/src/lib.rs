@@ -50,9 +50,7 @@ pub use markdown::parse_markdown;
 pub use markup::render_latex;
 pub use markup_html::{escape_html, refine_words, render_html, render_html_with, HtmlOptions};
 pub use markup_md::{render_markdown, try_render_markdown};
-pub use pipeline::{
-    diff_trees, ladiff, DocFormat, Engine, LaDiffOptions, LaDiffOutput, LaDiffStats,
-};
+pub use pipeline::{diff_trees, ladiff, DocFormat, LaDiffOptions, LaDiffOutput, LaDiffStats};
 pub use segment::{normalize_ws, split_paragraphs, split_sentences};
 pub use value::{word_distance, words, DocValue, WordTokens};
 pub use xml::{parse_xml, text_label, XmlError};

@@ -2,7 +2,7 @@
 //! versions, find the good matching, generate the minimum conforming edit
 //! script, build the delta tree, and render the marked-up output.
 
-use hierdiff_core::{Audit, Budgets, Differ, GumTreeParams, MatchStrategy};
+use hierdiff_core::{Audit, Budgets, Differ, MatchStrategy};
 use hierdiff_delta::{AnnotationCounts, DeltaTree};
 use hierdiff_edit::McesResult;
 use hierdiff_matching::{MatchCounters, MatchParams};
@@ -74,26 +74,14 @@ impl DocFormat {
     }
 }
 
-/// Which matching algorithm drives the pipeline.
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
-pub enum Engine {
-    /// Algorithm *FastMatch* (Figure 11) — the paper's recommendation.
-    #[default]
-    Fast,
-    /// Algorithm *Match* (Figure 10) — the simple quadratic matcher.
-    Simple,
-    /// GumTree-style greedy top-down/bottom-up matching with bounded
-    /// Zhang–Shasha recovery (Falleri et al., ASE 2014).
-    GumTree(GumTreeParams),
-}
-
 /// Pipeline options.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct LaDiffOptions {
     /// Matching criteria parameters (`f`, `t`).
     pub params: MatchParams,
-    /// Matching algorithm.
-    pub engine: Engine,
+    /// Matching algorithm ([`MatchStrategy::fast`] by default, the
+    /// paper's FastMatch).
+    pub strategy: MatchStrategy,
     /// Whether to run the Section 8 post-processing pass.
     pub postprocess: bool,
     /// Input format (use [`DocFormat::sniff`] when unsure).
@@ -112,7 +100,7 @@ impl Default for LaDiffOptions {
     fn default() -> LaDiffOptions {
         LaDiffOptions {
             params: MatchParams::default(),
-            engine: Engine::default(),
+            strategy: MatchStrategy::default(),
             postprocess: false,
             format: DocFormat::default(),
             budgets: Budgets::unlimited(),
@@ -202,14 +190,9 @@ pub fn diff_trees(
 ) -> Result<LaDiffOutput, DocError> {
     check_depth(&old_tree, options.max_depth)?;
     check_depth(&new_tree, options.max_depth)?;
-    let strategy = match options.engine {
-        Engine::Fast => MatchStrategy::fast(),
-        Engine::Simple => MatchStrategy::Simple,
-        Engine::GumTree(params) => MatchStrategy::GumTree(params),
-    };
     let r = Differ::new()
         .params(options.params)
-        .strategy(strategy)
+        .strategy(options.strategy.clone())
         .postprocess(options.postprocess)
         .audit(Audit::Off)
         .budget(options.budgets)
@@ -283,7 +266,7 @@ mod tests {
             OLD,
             NEW,
             &LaDiffOptions {
-                engine: Engine::Simple,
+                strategy: MatchStrategy::Simple,
                 ..LaDiffOptions::default()
             },
         )
@@ -298,7 +281,7 @@ mod tests {
             OLD,
             NEW,
             &LaDiffOptions {
-                engine: Engine::GumTree(GumTreeParams::default()),
+                strategy: MatchStrategy::gumtree(),
                 ..LaDiffOptions::default()
             },
         )

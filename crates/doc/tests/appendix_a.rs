@@ -18,7 +18,8 @@
 //!   exercises sentence moved to the end and reworded (S2 label +
 //!   footnote).
 
-use hierdiff_doc::{ladiff, render_html, Engine, LaDiffOptions};
+use hierdiff_core::MatchStrategy;
+use hierdiff_doc::{ladiff, render_html, LaDiffOptions};
 use hierdiff_matching::MatchParams;
 
 const FIG14_OLD: &str = r#"\section{First things first}
@@ -215,7 +216,7 @@ fn both_engines_agree_on_the_sample() {
         FIG14_OLD,
         FIG15_NEW,
         &LaDiffOptions {
-            engine: Engine::Simple,
+            strategy: MatchStrategy::Simple,
             ..options
         },
     )

@@ -36,7 +36,7 @@
 use std::fmt;
 
 use hierdiff_guard::{Budget, Guard, GuardError};
-use hierdiff_lcs::{lcs_counted_guarded, LcsStats};
+use hierdiff_lcs::{lcs_myers, LcsStats};
 use hierdiff_tree::{isomorphic, Label, NodeId, NodeValue, Tree};
 
 use crate::matching::Matching;
@@ -531,7 +531,7 @@ impl<V: NodeValue> Generator<'_, V> {
         //      then moves every matched child individually — conforming per
         //      Section 3.2, just not Lemma C.1-minimal.
         let mut lcs_stats = LcsStats::default();
-        let lcs_outcome = lcs_counted_guarded(
+        let lcs_outcome = lcs_myers(
             &s1,
             &s2,
             |&a, &b| self.m.contains(a, b),

@@ -5,7 +5,9 @@
 //! highlighting intra-line changes; `hierdiff-doc` uses this module the
 //! same way, refining *updated sentences* down to the changed words.
 
-use crate::{lcs, Pair};
+use hierdiff_guard::Guard;
+
+use crate::{lcs_myers, LcsStats, Pair};
 
 /// One run of a sequence diff.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -30,7 +32,16 @@ impl<T> SeqEdit<T> {
 /// Decomposes `(old, new)` into maximal Keep/Delete/Insert runs, in output
 /// order (deletions before insertions at each change point).
 pub fn sequence_diff<T: Clone + PartialEq>(old: &[T], new: &[T]) -> Vec<SeqEdit<T>> {
-    let pairs: Vec<Pair> = lcs(old, new, |a, b| a == b);
+    // An unlimited guard never trips; were it to, an empty pair list still
+    // decomposes into a valid (delete-all, insert-all) diff.
+    let pairs: Vec<Pair> = lcs_myers(
+        old,
+        new,
+        |a, b| a == b,
+        &mut LcsStats::default(),
+        &Guard::unlimited(),
+    )
+    .unwrap_or_default();
     let mut out: Vec<SeqEdit<T>> = Vec::new();
     let mut i = 0usize; // cursor into old
     let mut j = 0usize; // cursor into new

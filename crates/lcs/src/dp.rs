@@ -2,12 +2,11 @@
 //!
 //! O(|a|·|b|) time and space. Serves as the reference oracle for the other
 //! implementations (and for `hierdiff-doc`'s bit-parallel sentence kernel)
-//! and as the [`LcsAlgorithm::Dp`](crate::LcsAlgorithm::Dp) ablation in
-//! `benches/lcs.rs`.
+//! and as a baseline in `benches/lcs.rs`.
 
 use crate::Pair;
 
-/// LCS by dynamic programming. See [`crate::lcs`] for the contract.
+/// LCS by dynamic programming. See [`crate::lcs_myers`] for the contract.
 pub fn lcs_dp<T, U>(a: &[T], b: &[U], mut equal: impl FnMut(&T, &U) -> bool) -> Vec<Pair> {
     let n = a.len();
     let m = b.len();

@@ -6,7 +6,7 @@
 
 use crate::Pair;
 
-/// LCS via Hirschberg's algorithm. See [`crate::lcs`] for the contract.
+/// LCS via Hirschberg's algorithm. See [`crate::lcs_myers`] for the contract.
 pub fn lcs_hirschberg<T, U>(a: &[T], b: &[U], mut equal: impl FnMut(&T, &U) -> bool) -> Vec<Pair> {
     let mut pairs = Vec::new();
     solve(a, b, 0, 0, &mut equal, &mut pairs);

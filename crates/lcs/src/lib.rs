@@ -18,15 +18,17 @@
 //! to equality comparisons" — hence every algorithm here needs only an
 //! equality predicate.
 //!
-//! Three interchangeable implementations are provided and cross-checked by
-//! property tests:
+//! Three implementations are provided and cross-checked by property tests:
 //!
 //! * [`lcs_myers`] — Myers' O(ND) greedy algorithm \[Mye86\], the one the
 //!   paper uses (`N = |S1| + |S2|`, `D = N − 2|LCS|`). Fast when the
-//!   sequences are similar, which is the paper's common case.
+//!   sequences are similar, which is the paper's common case. It is the
+//!   one entry point the pipeline calls: it counts its work into
+//!   [`LcsStats`] and runs under a [`Guard`](hierdiff_guard::Guard)
+//!   (`Guard::unlimited()` for an ungoverned call).
 //! * [`lcs_dp`] — the classic O(N·M) dynamic program. Simple, predictable;
 //!   the oracle for tests (including the sentence-compare kernel's
-//!   differential test) and the [`LcsAlgorithm::Dp`] ablation.
+//!   differential test) and a baseline in `benches/lcs.rs`.
 //! * [`lcs_hirschberg`] — linear-space divide-and-conquer DP, for very long
 //!   sequences where the quadratic table would not fit.
 
@@ -41,7 +43,7 @@ mod myers;
 pub use diffops::{sequence_diff, SeqEdit};
 pub use dp::lcs_dp;
 pub use hirschberg::lcs_hirschberg;
-pub use myers::{lcs_myers, lcs_myers_counted, lcs_myers_guarded};
+pub use myers::lcs_myers;
 
 /// A pair of indices `(i, j)` meaning `S1[i]` is matched with `S2[j]` in the
 /// common subsequence.
@@ -63,73 +65,6 @@ impl LcsStats {
     pub fn absorb(&mut self, other: LcsStats) {
         self.cells += other.cells;
         self.equal_calls += other.equal_calls;
-    }
-}
-
-/// The paper's `LCS(S1, S2, equal)` with work accounting: identical pairs
-/// to [`lcs`], with the call's Myers-cell and equality-call counts added
-/// into `stats`.
-pub fn lcs_counted<T, U>(
-    a: &[T],
-    b: &[U],
-    equal: impl FnMut(&T, &U) -> bool,
-    stats: &mut LcsStats,
-) -> Vec<Pair> {
-    lcs_myers_counted(a, b, equal, stats)
-}
-
-/// [`lcs_counted`] under resource governance: cancellation/deadline are
-/// checked per cell (strided by the guard) and cells are charged against
-/// the guard's `max_lcs_cells` budget. See
-/// [`lcs_myers_guarded`](crate::lcs_myers_guarded).
-pub fn lcs_counted_guarded<T, U>(
-    a: &[T],
-    b: &[U],
-    equal: impl FnMut(&T, &U) -> bool,
-    stats: &mut LcsStats,
-    guard: &hierdiff_guard::Guard,
-) -> Result<Vec<Pair>, hierdiff_guard::GuardError> {
-    lcs_myers_guarded(a, b, equal, stats, guard)
-}
-
-/// Which implementation [`lcs_with`] dispatches to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum LcsAlgorithm {
-    /// Myers O(ND) (the paper's choice).
-    #[default]
-    Myers,
-    /// Quadratic dynamic programming.
-    Dp,
-    /// Hirschberg linear-space DP.
-    Hirschberg,
-}
-
-/// The paper's `LCS(S1, S2, equal)` procedure: returns the index pairs of a
-/// longest common subsequence of `a` and `b` under `equal`, in increasing
-/// order of both coordinates.
-///
-/// ```
-/// let a = [1, 2, 3, 4, 5];
-/// let b = [2, 4, 5, 9];
-/// let pairs = hierdiff_lcs::lcs(&a, &b, |x, y| x == y);
-/// assert_eq!(pairs, vec![(1, 0), (3, 1), (4, 2)]);
-/// ```
-pub fn lcs<T, U>(a: &[T], b: &[U], equal: impl FnMut(&T, &U) -> bool) -> Vec<Pair> {
-    lcs_myers(a, b, equal)
-}
-
-/// Like [`lcs`] but with an explicit algorithm choice (used by the ablation
-/// benchmarks).
-pub fn lcs_with<T, U>(
-    algorithm: LcsAlgorithm,
-    a: &[T],
-    b: &[U],
-    equal: impl FnMut(&T, &U) -> bool,
-) -> Vec<Pair> {
-    match algorithm {
-        LcsAlgorithm::Myers => lcs_myers(a, b, equal),
-        LcsAlgorithm::Dp => lcs_dp(a, b, equal),
-        LcsAlgorithm::Hirschberg => lcs_hirschberg(a, b, equal),
     }
 }
 
@@ -160,28 +95,7 @@ pub fn is_common_subsequence<T, U>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_dispatch_is_myers() {
-        let a = ['a', 'b', 'c'];
-        let b = ['b', 'c', 'd'];
-        assert_eq!(lcs(&a, &b, |x, y| x == y), lcs_myers(&a, &b, |x, y| x == y));
-    }
-
-    #[test]
-    fn lcs_with_dispatches_all() {
-        let a = [1, 3, 5, 7];
-        let b = [1, 5, 7, 9];
-        for alg in [
-            LcsAlgorithm::Myers,
-            LcsAlgorithm::Dp,
-            LcsAlgorithm::Hirschberg,
-        ] {
-            let pairs = lcs_with(alg, &a, &b, |x, y| x == y);
-            assert_eq!(pairs.len(), 3, "{alg:?}");
-            assert!(is_common_subsequence(&pairs, &a, &b, |x, y| x == y));
-        }
-    }
+    use hierdiff_guard::Guard;
 
     #[test]
     fn heterogeneous_item_types() {
@@ -189,8 +103,32 @@ mod tests {
         // FastMatch compares T1 nodes against T2 nodes.
         let a = [1usize, 2, 3];
         let b = ["1", "3"];
-        let pairs = lcs(&a, &b, |x, y| x.to_string() == **y);
+        let mut stats = LcsStats::default();
+        let pairs = lcs_myers(
+            &a,
+            &b,
+            |x, y| x.to_string() == **y,
+            &mut stats,
+            &Guard::unlimited(),
+        )
+        .unwrap();
         assert_eq!(pairs, vec![(0, 0), (2, 1)]);
+    }
+
+    #[test]
+    fn all_implementations_agree_on_length() {
+        let a = [1, 3, 5, 7];
+        let b = [1, 5, 7, 9];
+        let mut stats = LcsStats::default();
+        let myers = lcs_myers(&a, &b, |x, y| x == y, &mut stats, &Guard::unlimited()).unwrap();
+        for pairs in [
+            myers,
+            lcs_dp(&a, &b, |x, y| x == y),
+            lcs_hirschberg(&a, &b, |x, y| x == y),
+        ] {
+            assert_eq!(pairs.len(), 3, "{pairs:?}");
+            assert!(is_common_subsequence(&pairs, &a, &b, |x, y| x == y));
+        }
     }
 
     #[test]
@@ -204,27 +142,28 @@ mod tests {
     }
 
     #[test]
-    fn counted_variant_same_pairs_and_counts_work() {
+    fn stats_count_work_and_accumulate() {
         let a = chars("ABCABBA");
         let b = chars("CBABAC");
+        let guard = Guard::unlimited();
         let mut stats = LcsStats::default();
-        let counted = lcs_counted(&a, &b, |x, y| x == y, &mut stats);
-        assert_eq!(counted, lcs(&a, &b, |x, y| x == y));
+        let pairs = lcs_myers(&a, &b, |x, y| x == y, &mut stats, &guard).unwrap();
+        assert_eq!(pairs.len(), lcs_dp(&a, &b, |x, y| x == y).len());
         assert!(stats.cells > 0);
         assert!(stats.equal_calls > 0);
         // Accumulates across calls.
         let before = stats;
-        lcs_counted(&a, &b, |x, y| x == y, &mut stats);
+        lcs_myers(&a, &b, |x, y| x == y, &mut stats, &guard).unwrap();
         assert_eq!(stats.cells, before.cells * 2);
         assert_eq!(stats.equal_calls, before.equal_calls * 2);
     }
 
     #[test]
-    fn counted_identical_sequences_near_linear_cells() {
+    fn identical_sequences_near_linear_cells() {
         // D = 0 for identical input: one cell per round, one round.
         let a: Vec<u32> = (0..100).collect();
         let mut stats = LcsStats::default();
-        let pairs = lcs_counted(&a, &a, |x, y| x == y, &mut stats);
+        let pairs = lcs_myers(&a, &a, |x, y| x == y, &mut stats, &Guard::unlimited()).unwrap();
         assert_eq!(pairs.len(), 100);
         assert_eq!(stats.cells, 1, "identical input is a single snake");
         assert_eq!(stats.equal_calls, 100, "one hit per element, no misses");

@@ -34,51 +34,39 @@ fn at_mut<T>(v: &mut [T], i: usize) -> &mut T {
     &mut v[i] // analyze: allow(S004) the blessed funnel
 }
 
-/// LCS via Myers' greedy O(ND) algorithm. See [`crate::lcs`] for the
-/// contract.
-pub fn lcs_myers<T, U>(a: &[T], b: &[U], equal: impl FnMut(&T, &U) -> bool) -> Vec<Pair> {
-    let mut stats = LcsStats::default();
-    lcs_myers_counted(a, b, equal, &mut stats)
-}
-
-/// [`lcs_myers`] with work accounting: adds the `(d, k)` inner-loop
-/// iterations ("cells" — the units behind the O(ND) bound) and equality
-/// invocations of this call into `stats`.
-pub fn lcs_myers_counted<T, U>(
-    a: &[T],
-    b: &[U],
-    equal: impl FnMut(&T, &U) -> bool,
-    stats: &mut LcsStats,
-) -> Vec<Pair> {
-    match myers_governed(a, b, equal, stats, None) {
-        Ok(pairs) => pairs,
-        Err(_) => unreachable!("ungoverned Myers cannot trip a guard"),
-    }
-}
-
-/// [`lcs_myers_counted`] under resource governance: charges each round's
-/// `(d, k)` cells against the guard's LCS-cell budget *before* expanding
-/// the round (so a budget trip never overruns by more than one round), and
-/// ticks the guard per cell and per snake step, so cancellation and
-/// deadline trips are observed within one tick stride even when a single
-/// round spans tens of thousands of comparisons. Partial work is still
-/// added to `stats` on early return.
-pub fn lcs_myers_guarded<T, U>(
-    a: &[T],
-    b: &[U],
-    equal: impl FnMut(&T, &U) -> bool,
-    stats: &mut LcsStats,
-    guard: &Guard,
-) -> Result<Vec<Pair>, GuardError> {
-    myers_governed(a, b, equal, stats, Some(guard))
-}
-
-fn myers_governed<T, U>(
+/// The paper's `LCS(S1, S2, equal)` procedure via Myers' greedy O(ND)
+/// algorithm: returns the index pairs of a longest common subsequence of
+/// `a` and `b` under `equal`, in increasing order of both coordinates.
+///
+/// Work accounting: the `(d, k)` inner-loop iterations ("cells" — the
+/// units behind the O(ND) bound) and equality invocations of this call are
+/// added into `stats`, also on early return.
+///
+/// Resource governance: each round's cells are charged against the
+/// guard's LCS-cell budget *before* the round is expanded (so a budget
+/// trip never overruns by more than one round), and the guard is ticked
+/// per cell and per snake step, so cancellation and deadline trips are
+/// observed within one tick stride even when a single round spans tens of
+/// thousands of comparisons. Pass [`Guard::unlimited`] for an ungoverned
+/// call: its checks are no-ops and it never trips.
+///
+/// ```
+/// use hierdiff_guard::Guard;
+/// use hierdiff_lcs::{lcs_myers, LcsStats};
+///
+/// let a = [1, 2, 3, 4, 5];
+/// let b = [2, 4, 5, 9];
+/// let mut stats = LcsStats::default();
+/// let pairs = lcs_myers(&a, &b, |x, y| x == y, &mut stats, &Guard::unlimited()).unwrap();
+/// assert_eq!(pairs, vec![(1, 0), (3, 1), (4, 2)]);
+/// assert!(stats.cells > 0);
+/// ```
+pub fn lcs_myers<T, U>(
     a: &[T],
     b: &[U],
     mut equal: impl FnMut(&T, &U) -> bool,
     stats: &mut LcsStats,
-    guard: Option<&Guard>,
+    guard: &Guard,
 ) -> Result<Vec<Pair>, GuardError> {
     let n = a.len() as isize;
     let m = b.len() as isize;
@@ -99,16 +87,14 @@ fn myers_governed<T, U>(
     let mut tripped: Option<GuardError> = None;
 
     'outer: for d in 0..=(max as isize) {
-        if let Some(g) = guard {
-            // Round d expands d + 1 cells; charge them up front so a
-            // budget trip is reported before the work it would pay for.
-            let round = g
-                .checkpoint()
-                .and_then(|()| g.charge_lcs_cells(d as u64 + 1));
-            if let Err(e) = round {
-                tripped = Some(e);
-                break 'outer;
-            }
+        // Round d expands d + 1 cells; charge them up front so a budget
+        // trip is reported before the work it would pay for.
+        let round = guard
+            .checkpoint()
+            .and_then(|()| guard.charge_lcs_cells(d as u64 + 1));
+        if let Err(e) = round {
+            tripped = Some(e);
+            break 'outer;
         }
         let mut k = -d;
         while k <= d {
@@ -116,11 +102,9 @@ fn myers_governed<T, U>(
             // Large-d rounds span tens of thousands of comparisons, so the
             // per-round checkpoint alone would leave cancellation latency
             // proportional to d; the strided tick bounds it by the stride.
-            if let Some(g) = guard {
-                if let Err(e) = g.tick() {
-                    tripped = Some(e);
-                    break 'outer;
-                }
+            if let Err(e) = guard.tick() {
+                tripped = Some(e);
+                break 'outer;
             }
             let idx = (k + offset) as usize;
             let mut x = if k == -d || (k != d && at(&v, idx - 1) < at(&v, idx + 1)) {
@@ -131,11 +115,9 @@ fn myers_governed<T, U>(
             let mut y = x - k;
             while x < n && y < m {
                 equal_calls += 1;
-                if let Some(g) = guard {
-                    if let Err(e) = g.tick() {
-                        tripped = Some(e);
-                        break 'outer;
-                    }
+                if let Err(e) = guard.tick() {
+                    tripped = Some(e);
+                    break 'outer;
                 }
                 if !equal(at_ref(a, x as usize), at_ref(b, y as usize)) {
                     break;
@@ -237,6 +219,12 @@ mod tests {
     use super::*;
     use crate::{is_common_subsequence, lcs_dp};
 
+    /// An ungoverned call, as most tests want it.
+    fn myers<T, U>(a: &[T], b: &[U], equal: impl FnMut(&T, &U) -> bool) -> Vec<Pair> {
+        let mut stats = LcsStats::default();
+        lcs_myers(a, b, equal, &mut stats, &Guard::unlimited()).unwrap()
+    }
+
     fn eq(a: &char, b: &char) -> bool {
         a == b
     }
@@ -248,7 +236,7 @@ mod tests {
     fn check(a: &str, b: &str) {
         let av = chars(a);
         let bv = chars(b);
-        let m = lcs_myers(&av, &bv, eq);
+        let m = myers(&av, &bv, eq);
         let d = lcs_dp(&av, &bv, eq);
         assert!(
             is_common_subsequence(&m, &av, &bv, eq),
@@ -261,9 +249,9 @@ mod tests {
     fn empty_inputs() {
         let e: [char; 0] = [];
         let a = chars("abc");
-        assert!(lcs_myers(&e, &e, eq).is_empty());
-        assert!(lcs_myers(&a, &e, eq).is_empty());
-        assert!(lcs_myers(&e, &a, eq).is_empty());
+        assert!(myers(&e, &e, eq).is_empty());
+        assert!(myers(&a, &e, eq).is_empty());
+        assert!(myers(&e, &a, eq).is_empty());
     }
 
     #[test]
@@ -300,7 +288,7 @@ mod tests {
     #[test]
     fn identical_long_sequence_is_linear_pairs() {
         let a: Vec<u32> = (0..5000).collect();
-        let pairs = lcs_myers(&a, &a, |x, y| x == y);
+        let pairs = myers(&a, &a, |x, y| x == y);
         assert_eq!(pairs.len(), 5000);
         assert!(pairs
             .iter()
@@ -309,28 +297,14 @@ mod tests {
     }
 
     #[test]
-    fn guarded_unlimited_matches_ungoverned() {
-        use hierdiff_guard::Guard;
-        let a = chars("ABCABBA");
-        let b = chars("CBABAC");
-        let mut s1 = crate::LcsStats::default();
-        let mut s2 = crate::LcsStats::default();
-        let guard = Guard::unlimited();
-        let governed = lcs_myers_guarded(&a, &b, eq, &mut s1, &guard).unwrap();
-        let plain = lcs_myers_counted(&a, &b, eq, &mut s2);
-        assert_eq!(governed, plain);
-        assert_eq!(s1, s2);
-    }
-
-    #[test]
     fn guarded_cell_budget_trips_on_dissimilar_input() {
-        use hierdiff_guard::{Budget, Budgets, Guard, GuardError};
+        use hierdiff_guard::{Budget, Budgets};
         // Fully dissimilar sequences: D = n + m, quadratic cells.
         let a: Vec<u32> = (0..200).collect();
         let b: Vec<u32> = (1000..1200).collect();
         let guard = Guard::new(Budgets::unlimited().with_max_lcs_cells(50), None);
         let mut stats = crate::LcsStats::default();
-        let err = lcs_myers_guarded(&a, &b, |x, y| x == y, &mut stats, &guard).unwrap_err();
+        let err = lcs_myers(&a, &b, |x, y| x == y, &mut stats, &guard).unwrap_err();
         assert_eq!(err, GuardError::Budget(Budget::LcsCells));
         // Partial work was still accounted, and bounded near the budget.
         assert!(stats.cells > 0);
@@ -343,13 +317,13 @@ mod tests {
 
     #[test]
     fn guarded_cancellation_trips() {
-        use hierdiff_guard::{Budgets, CancelToken, Guard, GuardError};
+        use hierdiff_guard::{Budgets, CancelToken};
         let token = CancelToken::new();
         token.cancel();
         let guard = Guard::new(Budgets::unlimited(), Some(token));
         let a = chars("abcdef");
         let mut stats = crate::LcsStats::default();
-        let err = lcs_myers_guarded(&a, &a, eq, &mut stats, &guard).unwrap_err();
+        let err = lcs_myers(&a, &a, eq, &mut stats, &guard).unwrap_err();
         assert_eq!(err, GuardError::Cancelled);
     }
 
@@ -363,7 +337,7 @@ mod tests {
             let sigma = rng.gen_range(1..5u8);
             let a: Vec<u8> = (0..n).map(|_| rng.gen_range(0..sigma)).collect();
             let b: Vec<u8> = (0..m).map(|_| rng.gen_range(0..sigma)).collect();
-            let my = lcs_myers(&a, &b, |x, y| x == y);
+            let my = myers(&a, &b, |x, y| x == y);
             let dp = lcs_dp(&a, &b, |x, y| x == y);
             assert!(
                 is_common_subsequence(&my, &a, &b, |x, y| x == y),
@@ -377,7 +351,7 @@ mod tests {
         #[test]
         fn prop_matches_dp_len(a in proptest::collection::vec(0u8..4, 0..40),
                                b in proptest::collection::vec(0u8..4, 0..40)) {
-            let my = lcs_myers(&a, &b, |x, y| x == y);
+            let my = myers(&a, &b, |x, y| x == y);
             let dp = lcs_dp(&a, &b, |x, y| x == y);
             proptest::prop_assert!(is_common_subsequence(&my, &a, &b, |x, y| x == y));
             proptest::prop_assert_eq!(my.len(), dp.len());
@@ -385,15 +359,15 @@ mod tests {
 
         #[test]
         fn prop_lcs_of_self_is_identity(a in proptest::collection::vec(0u8..6, 0..60)) {
-            let my = lcs_myers(&a, &a, |x, y| x == y);
+            let my = myers(&a, &a, |x, y| x == y);
             proptest::prop_assert_eq!(my.len(), a.len());
         }
 
         #[test]
         fn prop_symmetric_length(a in proptest::collection::vec(0u8..4, 0..30),
                                  b in proptest::collection::vec(0u8..4, 0..30)) {
-            let ab = lcs_myers(&a, &b, |x, y| x == y).len();
-            let ba = lcs_myers(&b, &a, |x, y| x == y).len();
+            let ab = myers(&a, &b, |x, y| x == y).len();
+            let ba = myers(&b, &a, |x, y| x == y).len();
             proptest::prop_assert_eq!(ab, ba);
         }
     }

@@ -306,7 +306,14 @@ mod tests {
         let t1 = doc(&format!("(D {})", leaves1.join(" ")));
         let t2 = doc(&format!("(D {})", leaves2.join(" ")));
         let guard = Guard::new(Budgets::unlimited().with_max_lcs_cells(20), None);
-        let err = crate::fast_match_guarded(&t1, &t2, MatchParams::default(), &guard).unwrap_err();
+        let err = crate::fast_match_seeded_guarded(
+            &t1,
+            &t2,
+            MatchParams::default(),
+            Default::default(),
+            &guard,
+        )
+        .unwrap_err();
         assert_eq!(err, MatchError::Guard(GuardError::Budget(Budget::LcsCells)));
         // The degraded tier completes on the same input under the same
         // guard (no leaves satisfy Criterion 1 here, so the matching is

@@ -11,7 +11,7 @@
 
 use hierdiff_edit::Matching;
 use hierdiff_guard::Guard;
-use hierdiff_lcs::{lcs_counted_guarded, LcsStats};
+use hierdiff_lcs::{lcs_myers, LcsStats};
 use hierdiff_tree::{NodeId, NodeValue, Tree};
 
 use crate::criteria::{MatchCtx, MatchParams};
@@ -43,7 +43,7 @@ pub fn fast_match_seeded<V: NodeValue>(
     params: MatchParams,
     seed: Matching,
 ) -> Result<MatchResult, MatchError> {
-    fast_match_governed(t1, t2, params, seed, &Guard::unlimited()).map_err(|e| match e {
+    fast_match_seeded_guarded(t1, t2, params, seed, &Guard::unlimited()).map_err(|e| match e {
         // An unlimited guard cannot trip; if it somehow does, that is an
         // invariant violation, not a governance outcome.
         MatchError::Guard(_) => MatchError::Internal("unlimited guard tripped"),
@@ -51,35 +51,14 @@ pub fn fast_match_seeded<V: NodeValue>(
     })
 }
 
-/// Algorithm *FastMatch* under resource governance: `guard` is ticked once
+/// [`fast_match_seeded`] under resource governance: `guard` is ticked once
 /// per chain scan and (strided) per quadratic-fallback candidate, and every
 /// per-chain LCS runs against the guard's `max_lcs_cells` budget.
 ///
 /// On `Err(MatchError::Guard(GuardError::Budget(Budget::LcsCells)))` the
 /// caller should fall back to [`crate::bounded_greedy_match`], the LCS-free
 /// degraded tier; cancellation and deadline errors are terminal.
-pub fn fast_match_guarded<V: NodeValue>(
-    t1: &Tree<V>,
-    t2: &Tree<V>,
-    params: MatchParams,
-    guard: &Guard,
-) -> Result<MatchResult, MatchError> {
-    fast_match_governed(t1, t2, params, Matching::new(), guard)
-}
-
-/// [`fast_match_guarded`] starting from a pre-established partial matching
-/// (the governed form of [`fast_match_seeded`]).
 pub fn fast_match_seeded_guarded<V: NodeValue>(
-    t1: &Tree<V>,
-    t2: &Tree<V>,
-    params: MatchParams,
-    seed: Matching,
-    guard: &Guard,
-) -> Result<MatchResult, MatchError> {
-    fast_match_governed(t1, t2, params, seed, guard)
-}
-
-fn fast_match_governed<V: NodeValue>(
     t1: &Tree<V>,
     t2: &Tree<V>,
     params: MatchParams,
@@ -141,7 +120,7 @@ fn fast_match_governed<V: NodeValue>(
             //     function is the phase's matching criterion.
             let mut lcs_stats = LcsStats::default();
             let lcs_outcome = if is_leaf_phase {
-                lcs_counted_guarded(
+                lcs_myers(
                     &s1,
                     &s2,
                     |&x, &y| ctx.equal_leaves(x, y),
@@ -149,7 +128,7 @@ fn fast_match_governed<V: NodeValue>(
                     guard,
                 )
             } else {
-                lcs_counted_guarded(
+                lcs_myers(
                     &s1,
                     &s2,
                     |&x, &y| ctx.equal_internal(x, y, &m),

@@ -2,13 +2,15 @@
 //! point on the `MatchStrategy` axis alongside the paper's FastMatch,
 //! built from three phases:
 //!
-//! 1. **Top-down** — match isomorphic subtrees wholesale, tallest first,
-//!    located in O(N) through the [`FingerprintIndex`] (the same
-//!    accelerator behind [`prune_identical`](crate::prune_identical)).
-//!    Where a fingerprint is ambiguous (duplicated fragments), candidates
-//!    are paired in document order, mirroring the paper's chain
-//!    discipline of Section 5.3; every accepted pair is verified by a real
-//!    isomorphism check, so hash collisions are counted, never trusted.
+//! 1. **Top-down** — match isomorphic subtrees of height at least
+//!    `min_height` wholesale, tallest first, located in O(N) through the
+//!    [`FingerprintIndex`]. This is the same anchoring pass that runs as
+//!    the [`prune_identical`](crate::prune_identical) pre-pass, except
+//!    that where a fingerprint is ambiguous (duplicated fragments),
+//!    candidates are paired in document order, mirroring the paper's
+//!    chain discipline of Section 5.3; every accepted pair is verified by
+//!    a real isomorphism check, so hash collisions are counted, never
+//!    trusted.
 //! 2. **Bottom-up** — match *containers* whose descendants already agree:
 //!    a postorder scan proposes unmatched same-label ancestors of the
 //!    partners of matched descendants and accepts the best candidate by
@@ -27,24 +29,20 @@
 //! and (b) the nearest matched proper ancestor on each side to map to a
 //! proper ancestor of the partner. By induction these two local checks
 //! keep the whole matching ancestor-consistent, so GumTree output never
-//! trips A014 — see the strategy proptests in `tests/strategy_suite.rs`.
-
-use std::collections::HashSet;
+//! trips A014 — see `gumtree_matchings_injective_and_ancestor_consistent`
+//! in `tests/strategy_differential.rs`.
 
 use hierdiff_edit::Matching;
 use hierdiff_guard::Guard;
-use hierdiff_tree::traverse::preorder_of;
-use hierdiff_tree::{isomorphic_subtrees, FingerprintIndex, NodeId, NodeValue, Tree};
+use hierdiff_tree::{FingerprintIndex, NodeId, NodeValue, Tree};
 use hierdiff_zs::{tree_mapping, UnitCost};
 
 use crate::criteria::MatchCounters;
 use crate::dice::dice_stats;
 use crate::error::MatchError;
+use crate::prune::{anchor_identical, Ambiguous};
 
 /// Configuration for the GumTree strategy.
-///
-/// `Copy` so it can ride inside `Copy` option structs (e.g. the document
-/// pipeline's `LaDiffOptions`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GumTreeParams {
     /// Minimum subtree height for a top-down anchor (leaves have height
@@ -149,20 +147,26 @@ pub fn gumtree_match_guarded<V: NodeValue>(
     let idx1 = FingerprintIndex::build(t1);
     let idx2 = FingerprintIndex::build(t2);
     guard.checkpoint()?;
-    let mut m = Matching::with_capacity(t1.arena_len(), t2.arena_len());
-    let mut counters = MatchCounters::default();
-    let mut stats = GumTreeStats::default();
-    top_down(
+    let anchors = anchor_identical(
         t1,
         &idx1,
         t2,
         &idx2,
-        params,
-        &mut m,
-        &mut counters,
-        &mut stats,
+        params.min_height,
+        Ambiguous::PairInOrder,
         guard,
     )?;
+    let mut m = anchors.matching;
+    let mut counters = MatchCounters {
+        chain_scans: anchors.chain_scans,
+        ..MatchCounters::default()
+    };
+    counters.absorb_prune(&anchors.stats);
+    let mut stats = GumTreeStats {
+        anchors: anchors.stats.subtrees_pruned,
+        anchored_nodes: anchors.stats.nodes_pruned,
+        ..GumTreeStats::default()
+    };
     guard.checkpoint()?;
     bottom_up(t1, t2, params, &mut m, &mut counters, &mut stats, guard)?;
     Ok(GumTreeMatch {
@@ -170,80 +174,6 @@ pub fn gumtree_match_guarded<V: NodeValue>(
         counters,
         stats,
     })
-}
-
-/// Phase 1: greedy isomorphic-subtree matching, tallest first.
-///
-/// The tallest-first order guarantees that when `x` is reached unmatched,
-/// its whole subtree interior is unmatched too (only taller nodes — i.e.
-/// its ancestors, none matched, or disjoint subtrees — were processed
-/// before it), so wholesale preorder pairing cannot collide.
-#[allow(clippy::too_many_arguments)]
-fn top_down<V: NodeValue>(
-    t1: &Tree<V>,
-    idx1: &FingerprintIndex,
-    t2: &Tree<V>,
-    idx2: &FingerprintIndex,
-    params: GumTreeParams,
-    m: &mut Matching,
-    counters: &mut MatchCounters,
-    stats: &mut GumTreeStats,
-    guard: &Guard,
-) -> Result<(), MatchError> {
-    let mut processed: HashSet<u64> = HashSet::new();
-    for &x in idx1.tallest_first() {
-        guard.tick()?;
-        if idx1.height(x) < params.min_height {
-            break; // tallest-first: everything after is shorter still
-        }
-        if m.is_matched1(x) {
-            continue; // interior of an accepted anchor
-        }
-        let hash = idx1.hash(x);
-        if !processed.insert(hash) {
-            continue; // the whole chain was handled at its first member
-        }
-        if idx2.chain(hash).is_empty() {
-            continue;
-        }
-        counters.chain_scans += 1;
-        // Document-order chains of still-unmatched candidates; ambiguous
-        // fragments pair positionally, every pair verified individually.
-        let c1: Vec<NodeId> = idx1
-            .chain(hash)
-            .iter()
-            .copied()
-            .filter(|&a| !m.is_matched1(a))
-            .collect();
-        let c2: Vec<NodeId> = idx2
-            .chain(hash)
-            .iter()
-            .copied()
-            .filter(|&b| !m.is_matched2(b))
-            .collect();
-        for (&a, &b) in c1.iter().zip(c2.iter()) {
-            guard.tick()?;
-            if m.is_matched1(a) || m.is_matched2(b) {
-                continue; // claimed by a colliding chain processed earlier
-            }
-            counters.prune_candidates += 1;
-            if !isomorphic_subtrees(t1, a, t2, b) {
-                counters.prune_collisions += 1;
-                continue;
-            }
-            let mut paired = 0usize;
-            for (p, q) in preorder_of(t1, a).zip(preorder_of(t2, b)) {
-                guard.tick()?;
-                m.insert(p, q)
-                    .map_err(|_| MatchError::Internal("gumtree anchor pair already matched"))?;
-                paired += 1;
-            }
-            counters.nodes_pruned += paired;
-            stats.anchors += 1;
-            stats.anchored_nodes += paired;
-        }
-    }
-    Ok(())
 }
 
 /// Phase 2 (+3): postorder container adoption by dice similarity, with

@@ -10,8 +10,14 @@
 //! * [`match_simple`] — Algorithm *Match* (Figure 10), `O(n²c + mn)`.
 //! * [`fast_match`] — Algorithm *FastMatch* (Figure 11),
 //!   `O((ne + e²)c + 2lne)`; the paper's recommended matcher.
+//!   [`fast_match_seeded_guarded`] is its one governed entry point: it
+//!   starts from a seed matching and takes the run's guard.
+//! * [`prune_identical`] — the identical-subtree anchoring pass as a
+//!   FastMatch pre-pass: maximal unique unchanged fragments are matched
+//!   wholesale by fingerprint, and the result seeds FastMatch.
 //! * [`gumtree_match`] — GumTree-style greedy top-down/bottom-up matching
-//!   with bounded Zhang–Shasha recovery (Falleri et al., ASE 2014).
+//!   with bounded Zhang–Shasha recovery (Falleri et al., ASE 2014). Its
+//!   top-down phase is the same anchoring pass.
 //! * [`postprocess`] — the Section 8 optimality-recovery pass for when
 //!   Matching Criterion 3 fails.
 //! * [`check_criterion3`] / [`mismatch_upper_bound`] — the Criterion 3
@@ -38,7 +44,6 @@ mod bound;
 mod criteria;
 mod dice;
 mod error;
-mod exact;
 mod fast;
 mod gumtree;
 mod keyed;
@@ -55,8 +60,7 @@ pub use bound::{
 pub use criteria::{LeafRanges, MatchCounters, MatchCtx, MatchParams};
 pub use dice::{dice_stats, DiceStats};
 pub use error::MatchError;
-pub use exact::{fast_match_accelerated, prematch_unique_identical};
-pub use fast::{fast_match, fast_match_guarded, fast_match_seeded, fast_match_seeded_guarded};
+pub use fast::{fast_match, fast_match_seeded, fast_match_seeded_guarded};
 pub use gumtree::{
     gumtree_match, gumtree_match_guarded, GumTreeMatch, GumTreeParams, GumTreeStats,
 };

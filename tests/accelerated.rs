@@ -3,11 +3,21 @@
 //! on real document shapes, and end-to-end pipeline validity.
 
 use hierdiff::edit::edit_script;
+use hierdiff::guard::Guard;
 use hierdiff::matching::{
-    fast_match, fast_match_accelerated, prematch_unique_identical, MatchParams,
+    fast_match, fast_match_seeded, prune_identical, MatchParams, MatchResult,
 };
-use hierdiff::tree::{isomorphic, subtree_hashes};
+use hierdiff::tree::{isomorphic, subtree_hashes, NodeValue, Tree};
 use hierdiff::workload::{generate_document, perturb, DocProfile, EditMix};
+
+/// FastMatch seeded by the identical-subtree pruning pre-pass, with the
+/// pre-pass statistics folded into the counters.
+fn pruned_fast_match<V: NodeValue>(t1: &Tree<V>, t2: &Tree<V>) -> MatchResult {
+    let (seed, stats) = prune_identical(t1, t2, &Guard::unlimited()).unwrap();
+    let mut r = fast_match_seeded(t1, t2, MatchParams::default(), seed).unwrap();
+    r.counters.absorb_prune(&stats);
+    r
+}
 
 #[test]
 fn accelerated_pipeline_end_to_end() {
@@ -15,7 +25,7 @@ fn accelerated_pipeline_end_to_end() {
     for seed in 0..4u64 {
         let t1 = generate_document(5_000 + seed, &profile);
         let (t2, _) = perturb(&t1, 5_100 + seed, 15, &EditMix::revision(), &profile);
-        let accel = fast_match_accelerated(&t1, &t2, MatchParams::default()).unwrap();
+        let accel = pruned_fast_match(&t1, &t2);
         let res = edit_script(&t1, &t2, &accel.matching).unwrap();
         let replayed = res.replay_on(&t1).unwrap();
         assert!(isomorphic(&replayed, &res.edited), "seed {seed}");
@@ -30,7 +40,7 @@ fn prematch_is_always_a_valid_seed() {
     for seed in 0..4u64 {
         let t1 = generate_document(5_200 + seed, &profile);
         let (t2, _) = perturb(&t1, 5_300 + seed, 10, &EditMix::default(), &profile);
-        let seed_m = prematch_unique_identical(&t1, &t2).unwrap();
+        let (seed_m, _) = prune_identical(&t1, &t2, &Guard::unlimited()).unwrap();
         let res = edit_script(&t1, &t2, &seed_m).unwrap();
         let replayed = res.replay_on(&t1).unwrap();
         assert!(isomorphic(&replayed, &res.edited), "seed {seed}");
@@ -85,7 +95,7 @@ fn savings_grow_with_document_size_at_fixed_churn() {
             &profile,
         );
         let plain = fast_match(&t1, &t2, MatchParams::default()).unwrap();
-        let accel = fast_match_accelerated(&t1, &t2, MatchParams::default()).unwrap();
+        let accel = pruned_fast_match(&t1, &t2);
         assert_eq!(plain.matching.len(), accel.matching.len());
         ratios.push(accel.counters.total() as f64 / plain.counters.total().max(1) as f64);
     }

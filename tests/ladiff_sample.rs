@@ -2,7 +2,8 @@
 //! documents exercise every Table 2 mark-up convention; this test pins the
 //! detected operations and the conventions that must appear in the output.
 
-use hierdiff::doc::{ladiff, Engine, LaDiffOptions};
+use hierdiff::doc::{ladiff, LaDiffOptions};
+use hierdiff::MatchStrategy;
 use hierdiff_bench::experiments::{SAMPLE_NEW, SAMPLE_OLD};
 
 #[test]
@@ -70,7 +71,7 @@ fn sample_agrees_across_engines() {
         SAMPLE_OLD,
         SAMPLE_NEW,
         &LaDiffOptions {
-            engine: Engine::Simple,
+            strategy: MatchStrategy::Simple,
             ..LaDiffOptions::default()
         },
     )

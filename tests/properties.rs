@@ -4,9 +4,21 @@
 use proptest::prelude::*;
 
 use hierdiff::edit::{edit_script, weighted_edit_distance, CostModel, Matching};
-use hierdiff::matching::{fast_match, fast_match_accelerated, MatchParams};
+use hierdiff::guard::Guard;
+use hierdiff::matching::{
+    fast_match, fast_match_seeded, prune_identical, MatchParams, MatchResult,
+};
 use hierdiff::tree::{isomorphic, Label, NodeId, NodeValue, Tree};
 use hierdiff::Differ;
+
+/// FastMatch seeded by the identical-subtree pruning pre-pass, with the
+/// pre-pass statistics folded into the counters.
+fn pruned_fast_match<V: NodeValue>(t1: &Tree<V>, t2: &Tree<V>) -> MatchResult {
+    let (seed, stats) = prune_identical(t1, t2, &Guard::unlimited()).unwrap();
+    let mut r = fast_match_seeded(t1, t2, MatchParams::default(), seed).unwrap();
+    r.counters.absorb_prune(&stats);
+    r
+}
 
 /// A generated tree description: parent links + labels + values, decoded
 /// into a `Tree<String>`.
@@ -215,7 +227,7 @@ proptest! {
         let t1 = generate_document(20_000 + seed as u64, &profile);
         let (t2, _) = perturb(&t1, 30_000 + seed as u64, edits, &EditMix::revision(), &profile);
         let plain = fast_match(&t1, &t2, MatchParams::default()).unwrap();
-        let accel = fast_match_accelerated(&t1, &t2, MatchParams::default()).unwrap();
+        let accel = pruned_fast_match(&t1, &t2);
         prop_assert_eq!(plain.matching.len(), accel.matching.len());
         let r1 = edit_script(&t1, &t2, &plain.matching).unwrap();
         let r2 = edit_script(&t1, &t2, &accel.matching).unwrap();

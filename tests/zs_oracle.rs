@@ -5,10 +5,22 @@
 //! correct script.
 
 use hierdiff::edit::{edit_script, CostModel, Matching};
-use hierdiff::matching::{check_criterion3, fast_match, fast_match_accelerated, MatchParams};
-use hierdiff::tree::{isomorphic, Tree};
+use hierdiff::guard::Guard;
+use hierdiff::matching::{
+    check_criterion3, fast_match, fast_match_seeded, prune_identical, MatchParams, MatchResult,
+};
+use hierdiff::tree::{isomorphic, NodeValue, Tree};
 use hierdiff::workload::{generate_document, perturb, DocProfile, EditMix};
 use hierdiff::zs::{tree_distance, tree_mapping, UnitCost};
+
+/// FastMatch seeded by the identical-subtree pruning pre-pass, with the
+/// pre-pass statistics folded into the counters.
+fn pruned_fast_match<V: NodeValue>(t1: &Tree<V>, t2: &Tree<V>) -> MatchResult {
+    let (seed, stats) = prune_identical(t1, t2, &Guard::unlimited()).unwrap();
+    let mut r = fast_match_seeded(t1, t2, MatchParams::default(), seed).unwrap();
+    r.counters.absorb_prune(&stats);
+    r
+}
 
 fn small_profile() -> DocProfile {
     DocProfile {
@@ -111,7 +123,7 @@ fn randomized_differential_vs_zs_with_and_without_pruning() {
             let plain_res = edit_script(&t1, &t2, &plain.matching).unwrap();
             let plain_cost = plain_res.cost_on(&t1, &CostModel::paper()).unwrap();
 
-            let accel = fast_match_accelerated(&t1, &t2, MatchParams::default()).unwrap();
+            let accel = pruned_fast_match(&t1, &t2);
             let accel_res = edit_script(&t1, &t2, &accel.matching).unwrap();
             let accel_cost = accel_res.cost_on(&t1, &CostModel::paper()).unwrap();
 
