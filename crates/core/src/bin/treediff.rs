@@ -33,8 +33,8 @@
 use std::process::ExitCode;
 
 use hierdiff_core::{
-    match_with_optimality, Budgets, DiffError, Differ, FastMatchConfig, GumTreeParams,
-    MatchStrategy, Phase, PipelineObserver, Recorder,
+    zs_budget, Budgets, DiffError, Differ, FastMatchConfig, GumTreeParams, MatchStrategy, Phase,
+    PipelineObserver, Recorder,
 };
 use hierdiff_matching::MatchParams;
 use hierdiff_tree::Tree;
@@ -118,11 +118,10 @@ fn fail_for(e: DiffError) -> Failure {
 
 struct Cli {
     params: MatchParams,
+    /// The `A(k)` level: FastMatch, post-processed for `k ≥ 1`, refined by
+    /// bounded ZS recovery of `zs_budget(k)` nodes per side for `k ≥ 2`.
     k: u32,
     strategy: MatchStrategy,
-    /// Whether `--strategy` appeared on the command line (as opposed to the
-    /// fastmatch default), so `-k`'s hybrid matcher can reject the combination.
-    strategy_explicit: bool,
     budgets: Budgets,
     audit: Option<bool>,
     profile: Option<ProfileFormat>,
@@ -218,10 +217,9 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Result<(Cli, Option<Recorder
                 let secs: f64 = take("--timeout")?
                     .parse()
                     .map_err(|e| format!("bad --timeout: {e}"))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err("bad --timeout: need a non-negative number of seconds".to_string());
-                }
-                budgets = budgets.with_max_wall_time(std::time::Duration::from_secs_f64(secs));
+                let timeout = std::time::Duration::try_from_secs_f64(secs)
+                    .map_err(|e| format!("bad --timeout: {e}"))?;
+                budgets = budgets.with_max_wall_time(timeout);
             }
             "--max-nodes" => {
                 budgets = budgets.with_max_nodes(
@@ -250,10 +248,19 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Result<(Cli, Option<Recorder
     if prune && name != "fastmatch" {
         return Err("--prune applies to --strategy fastmatch".to_string());
     }
+    if k > 0 && strategy_name.is_some() {
+        return Err("--strategy picks the built-in matcher; drop it or use -k 0".to_string());
+    }
+    if k > 0 && prune {
+        return Err("--prune applies to the built-in matcher; drop it or use -k 0".to_string());
+    }
     let strategy = match name {
         "simple" => MatchStrategy::Simple,
         "gumtree" => MatchStrategy::GumTree(gumtree),
-        _ => MatchStrategy::FastMatch(FastMatchConfig { prune }),
+        _ => MatchStrategy::FastMatch(FastMatchConfig {
+            prune,
+            max_recovery_size: zs_budget(k),
+        }),
     };
     let mut recorder = profile.map(|_| Recorder::new());
     if let Some(rec) = recorder.as_mut() {
@@ -271,7 +278,6 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Result<(Cli, Option<Recorder
         params: MatchParams::with_inner_threshold(t).with_leaf_threshold(f),
         k,
         strategy,
-        strategy_explicit: strategy_name.is_some(),
         budgets,
         audit,
         profile,
@@ -282,23 +288,12 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Result<(Cli, Option<Recorder
     Ok((cli, recorder))
 }
 
-fn differ_for(cli: &Cli) -> Result<Differ<'static>, String> {
-    let mut differ = if cli.k == 0 {
-        Differ::new()
-            .params(cli.params)
-            .strategy(cli.strategy.clone())
-    } else {
-        if cli.strategy_explicit {
-            return Err("--strategy picks the built-in matcher; drop it or use -k 0".to_string());
-        }
-        if cli.prune() {
-            return Err("--prune applies to the built-in matcher; drop it or use -k 0".to_string());
-        }
-        let hybrid = match_with_optimality(&cli.old, &cli.new, cli.params, cli.k)
-            .map_err(|e| format!("matching failed: {e}"))?;
-        Differ::new().params(cli.params).matching(hybrid.matching)
-    };
-    differ = differ.budget(cli.budgets);
+fn differ_for(cli: &Cli) -> Differ<'static> {
+    let mut differ = Differ::new()
+        .params(cli.params)
+        .strategy(cli.strategy.clone())
+        .postprocess(cli.k >= 1)
+        .budget(cli.budgets);
     if let Some(audit) = cli.audit {
         differ = differ.audit(if audit {
             hierdiff_core::Audit::On
@@ -306,7 +301,7 @@ fn differ_for(cli: &Cli) -> Result<Differ<'static>, String> {
             hierdiff_core::Audit::Off
         });
     }
-    Ok(differ)
+    differ
 }
 
 /// Renders the recorded profile to stderr in the requested format, keeping
@@ -326,7 +321,7 @@ fn emit_profile(recorder: Option<Recorder>, format: Option<ProfileFormat>) -> Re
 /// `treediff audit`: force auditing on, render every finding, and report
 /// whether the pipeline's artifacts satisfy the paper's invariants.
 fn run_audit(cli: Cli, mut recorder: Option<Recorder>) -> Result<(), Failure> {
-    let differ = differ_for(&cli)?.audit(hierdiff_core::Audit::On);
+    let differ = differ_for(&cli).audit(hierdiff_core::Audit::On);
     let outcome = match recorder.as_mut() {
         Some(rec) => differ
             .observer(rec as &mut dyn PipelineObserver)
@@ -366,7 +361,7 @@ fn run_audit(cli: Cli, mut recorder: Option<Recorder>) -> Result<(), Failure> {
 }
 
 fn run_diff(cli: Cli, mut recorder: Option<Recorder>) -> Result<(), Failure> {
-    let differ = differ_for(&cli)?;
+    let differ = differ_for(&cli);
     let outcome = match recorder.as_mut() {
         Some(rec) => differ
             .observer(rec as &mut dyn PipelineObserver)

@@ -10,8 +10,10 @@
 //! 1. **Good Matching** — find the correspondence between the nodes of the
 //!    old and new trees. This stage is pluggable via [`MatchStrategy`]:
 //!    the paper's Algorithms *Match* and *FastMatch* (Figures 10–11, in
-//!    `hierdiff-matching`), a GumTree-style greedy matcher with bounded
-//!    Zhang–Shasha recovery, or a caller-provided matching;
+//!    `hierdiff-matching`, FastMatch optionally refined by bounded
+//!    Zhang–Shasha recovery into the Section 9 `A(k)` matcher), a
+//!    GumTree-style greedy matcher with the same bounded recovery, or a
+//!    caller-provided matching;
 //! 2. **Minimum Conforming Edit Script** — given the matching, produce the
 //!    cheapest insert/delete/update/move script transforming the old tree
 //!    into the new (`hierdiff-edit`: Algorithm *EditScript*, Figures 8–9).
@@ -59,7 +61,6 @@
 
 mod batch;
 mod differ;
-mod hybrid;
 mod strategy;
 
 pub use batch::{BatchReport, BatchRun, WorkerStats};
@@ -67,8 +68,7 @@ pub use differ::{Audit, Differ};
 pub use hierdiff_obs::{
     Counter, DiffProfile, NullObserver, Phase, PipelineObserver, Recorder, Tee,
 };
-pub use hybrid::{match_with_optimality, zs_budget, HybridMatch};
-pub use strategy::{FastMatchConfig, MatchStrategy};
+pub use strategy::{zs_budget, FastMatchConfig, MatchStrategy};
 
 pub use hierdiff_audit::AuditReport;
 use hierdiff_audit::{audit_delta, audit_matching, audit_prune, audit_script, audit_tree, Side};
@@ -240,8 +240,10 @@ impl From<EditScriptError> for DiffError {
 /// (Lemma C.1 needs the full LCS passes).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Degraded {
-    /// FastMatch exhausted `max_lcs_cells`; the bounded greedy matcher
-    /// produced the (valid, possibly non-maximal) matching instead.
+    /// The matching tier ran out of `max_lcs_cells`: FastMatch fell back
+    /// to the bounded greedy matcher, or a bounded Zhang–Shasha recovery
+    /// pass (GumTree's, or FastMatch's `max_recovery_size` refinement) was
+    /// truncated. Either way the matching is valid, possibly non-maximal.
     pub matching: bool,
     /// *AlignChildren* exhausted `max_lcs_cells`; misaligned children were
     /// moved one-by-one instead of around an LCS anchor set.
@@ -626,13 +628,74 @@ mod tests {
         }
     }
 
+    /// FastMatch with the `A(k)` refinement at level `k`'s size cap.
+    fn a_k(k: u32) -> MatchStrategy {
+        MatchStrategy::FastMatch(FastMatchConfig {
+            max_recovery_size: zs_budget(k),
+            ..FastMatchConfig::default()
+        })
+    }
+
+    #[test]
+    fn budget_schedule() {
+        assert_eq!(zs_budget(0), 0);
+        assert_eq!(zs_budget(1), 0);
+        assert_eq!(zs_budget(2), 16);
+        assert_eq!(zs_budget(3), 32);
+        assert_eq!(zs_budget(4), 64);
+    }
+
     #[test]
     fn hybrid_match_audits_clean() {
         let t1 = doc(r#"(D (P (S "anchor") (S "totally original phrasing here")))"#);
         let t2 = doc(r#"(D (P (S "anchor") (S "completely different wording now")))"#);
-        let h = match_with_optimality(&t1, &t2, MatchParams::default(), 3).unwrap();
-        let report = h.audit.expect("audit defaults on under debug assertions");
+        let r = Differ::new()
+            .strategy(a_k(3))
+            .postprocess(true)
+            .diff(&t1, &t2)
+            .unwrap();
+        let report = r.audit.expect("audit defaults on under debug assertions");
         assert!(report.is_clean(), "{report}");
+    }
+
+    #[test]
+    fn recovery_refinement_truncation_surfaces_as_degraded() {
+        // A budget that exactly pays for FastMatch's chain LCS runs leaves
+        // nothing for the first ZS grid (the 5×5 root pair): the
+        // refinement truncates, and the run stays valid and audit-clean.
+        let t1 = doc(r#"(D (P (S "one") (S "totally original phrasing here") (S "two")))"#);
+        let t2 = doc(r#"(D (P (S "one") (S "completely different wording now") (S "two")))"#);
+        let probe = Guard::new(Budgets::unlimited().with_max_lcs_cells(u64::MAX), None);
+        hierdiff_matching::fast_match_seeded_guarded(
+            &t1,
+            &t2,
+            MatchParams::default(),
+            Matching::new(),
+            &probe,
+        )
+        .unwrap();
+        let budget = Budgets::unlimited().with_max_lcs_cells(probe.lcs_cells_used());
+        let fast = Differ::new()
+            .budget(budget)
+            .audit(Audit::On)
+            .diff(&t1, &t2)
+            .unwrap();
+        assert!(!fast.degraded.matching, "FastMatch fits the budget");
+        let r = Differ::new()
+            .strategy(a_k(3))
+            .budget(budget)
+            .audit(Audit::On)
+            .diff(&t1, &t2)
+            .unwrap();
+        assert!(r.degraded.matching, "truncated refinement flags the tier");
+        assert_eq!(r.matching.len(), fast.matching.len(), "nothing adopted");
+        assert!(r.audit.unwrap().is_clean());
+        assert!(isomorphic(&r.mces.edited, &t2), "degraded yet conforming");
+        let full = Differ::new().strategy(a_k(3)).diff(&t1, &t2).unwrap();
+        assert!(
+            full.matching.len() > fast.matching.len(),
+            "with room, ZS recovers"
+        );
     }
 
     #[test]
@@ -656,14 +719,17 @@ mod tests {
         let new = doc(r#"(D (S "b"))"#);
         let token = CancelToken::new();
         token.cancel();
-        assert!(matches!(
-            Differ::new()
-                .cancel(&token)
-                .diff(&old, &new)
-                .map(|_| ())
-                .unwrap_err(),
-            DiffError::Cancelled
-        ));
+        for strategy in [MatchStrategy::fast(), a_k(3)] {
+            assert!(matches!(
+                Differ::new()
+                    .strategy(strategy)
+                    .cancel(&token)
+                    .diff(&old, &new)
+                    .map(|_| ())
+                    .unwrap_err(),
+                DiffError::Cancelled
+            ));
+        }
     }
 
     #[test]
@@ -852,7 +918,10 @@ mod tests {
         assert_eq!(MatchStrategy::Provided(Matching::new()).name(), "provided");
         assert!(matches!(
             MatchStrategy::default(),
-            MatchStrategy::FastMatch(FastMatchConfig { prune: false })
+            MatchStrategy::FastMatch(FastMatchConfig {
+                prune: false,
+                max_recovery_size: 0
+            })
         ));
     }
 }

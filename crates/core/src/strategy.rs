@@ -13,7 +13,9 @@
 //!
 //! * [`MatchStrategy::FastMatch`] — Algorithm *FastMatch* (Figure 11) with
 //!   the criteria parameters of [`MatchParams`]; optionally seeded by the
-//!   identical-subtree pruning pre-pass ([`FastMatchConfig::prune`]).
+//!   identical-subtree pruning pre-pass ([`FastMatchConfig::prune`]) and
+//!   optionally refined by bounded Zhang–Shasha recovery
+//!   ([`FastMatchConfig::max_recovery_size`], the paper's `A(k)`).
 //! * [`MatchStrategy::Simple`] — Algorithm *Match* (Figure 10), the
 //!   quadratic reference matcher.
 //! * [`MatchStrategy::GumTree`] — GumTree-style greedy top-down/bottom-up
@@ -27,8 +29,8 @@ use hierdiff_edit::Matching;
 use hierdiff_guard::{Budget, Guard, GuardError};
 use hierdiff_matching::{
     bounded_greedy_match, fast_match_seeded_guarded, gumtree_match_guarded, match_simple,
-    postprocess, prune_identical, GumTreeParams, MatchCounters, MatchError, PruneStats,
-    GREEDY_WINDOW,
+    postprocess, prune_identical, recover_matched_pairs, GumTreeParams, MatchCounters, MatchError,
+    PruneStats, GREEDY_WINDOW,
 };
 use hierdiff_obs::{Counter, Phase, PipelineObserver};
 use hierdiff_tree::{NodeValue, Tree};
@@ -49,6 +51,25 @@ pub struct FastMatchConfig {
     /// wholesale and skipped by the criteria. Counters surface as `nodes_pruned` / `prune_candidates` /
     /// `prune_collisions`. Off by default.
     pub prune: bool,
+    /// Maximum subtree size (nodes per side) for the bounded Zhang–Shasha
+    /// refinement run after post-processing
+    /// ([`hierdiff_matching::recover_matched_pairs`]), which makes this the
+    /// paper's Section 9 `A(k)` matcher with [`zs_budget`]`(k)` here.
+    /// `0` disables it and is the default, as for
+    /// [`GumTreeParams::max_recovery_size`]. LCS-cell exhaustion truncates
+    /// the refinement and marks the run's matching as degraded.
+    pub max_recovery_size: usize,
+}
+
+/// The `A(k)` level → [`FastMatchConfig::max_recovery_size`] schedule:
+/// no refinement below `k = 2`, then 16 nodes per side, doubling per
+/// level.
+pub fn zs_budget(k: u32) -> usize {
+    if k < 2 {
+        0
+    } else {
+        16usize.saturating_mul(1 << (k - 2).min(12))
+    }
 }
 
 /// Matching-algorithm selection for [`Differ::strategy`](crate::Differ::strategy).
@@ -89,7 +110,10 @@ impl MatchStrategy {
 
     /// FastMatch with the identical-subtree pruning pre-pass enabled.
     pub fn fast_pruned() -> MatchStrategy {
-        MatchStrategy::FastMatch(FastMatchConfig { prune: true })
+        MatchStrategy::FastMatch(FastMatchConfig {
+            prune: true,
+            ..FastMatchConfig::default()
+        })
     }
 
     /// GumTree with default parameters (`min_height` 1, `sim_threshold`
@@ -127,7 +151,8 @@ pub(crate) struct StrategyOutcome {
 
 /// Runs the configured strategy's full tree-pair→[`Matching`] stage:
 /// pruning pre-pass, match dispatch (with the FastMatch degradation
-/// ladder), post-processing, and the matching-phase observer flushes.
+/// ladder), post-processing, FastMatch's bounded ZS refinement, and the
+/// matching-phase observer flushes.
 pub(crate) fn run_strategy<V: NodeValue>(
     old: &Tree<V>,
     new: &Tree<V>,
@@ -241,6 +266,15 @@ pub(crate) fn run_strategy<V: NodeValue>(
     } else {
         0
     };
+    if let MatchStrategy::FastMatch(c) = &config.strategy {
+        match recover_matched_pairs(old, new, c.max_recovery_size, &mut matching, guard) {
+            Ok(stats) => degraded_matching |= stats.truncated,
+            Err(e) => {
+                span_end(obs, Phase::Match);
+                return Err(e.into());
+            }
+        }
+    }
     if let Some(o) = obs.as_mut() {
         flush_match_counters(*o, &counters);
         if degraded_matching {

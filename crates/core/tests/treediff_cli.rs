@@ -93,6 +93,44 @@ fn optimality_flag() {
 }
 
 #[test]
+fn optimality_runs_inside_the_profiled_pipeline() {
+    // -k 2 is FastMatch plus refinement on the one governed Differ, so
+    // the profile carries FastMatch's comparison counters.
+    let fixture = |name: &str| format!("{}/../../fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    let out = treediff()
+        .args(["-k", "2", "--profile=json"])
+        .arg(fixture("fig4_old.sexpr"))
+        .arg(fixture("fig4_new.sexpr"))
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let profile =
+        hierdiff_core::DiffProfile::from_json(&String::from_utf8_lossy(&out.stderr)).unwrap();
+    assert!(profile.counter("leaf_compares") > 0);
+}
+
+#[test]
+fn unrepresentable_timeout_is_a_usage_error() {
+    let old = write_temp("to_old.sexpr", OLD);
+    let new = write_temp("to_new.sexpr", NEW);
+    for secs in ["1e20", "-1", "NaN"] {
+        let out = treediff()
+            .args(["--timeout", secs])
+            .arg(&old)
+            .arg(&new)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "--timeout {secs}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("bad --timeout"), "--timeout {secs}: {err}");
+    }
+}
+
+#[test]
 fn audit_subcommand_clean_pipeline() {
     let old = write_temp("a_old.sexpr", OLD);
     let new = write_temp("a_new.sexpr", NEW);

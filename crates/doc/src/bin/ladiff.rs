@@ -193,12 +193,9 @@ fn parse_args() -> Result<Args, String> {
                 let secs: f64 = take("--timeout")?
                     .parse()
                     .map_err(|e| format!("bad --timeout: {e}"))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err(format!("bad --timeout: {secs} is not a duration"));
-                }
-                args.budgets = args
-                    .budgets
-                    .with_max_wall_time(Duration::from_secs_f64(secs));
+                let timeout =
+                    Duration::try_from_secs_f64(secs).map_err(|e| format!("bad --timeout: {e}"))?;
+                args.budgets = args.budgets.with_max_wall_time(timeout);
             }
             "--max-nodes" => {
                 let n: usize = take("--max-nodes")?

@@ -283,6 +283,23 @@ fn zero_timeout_exits_4() {
 }
 
 #[test]
+fn unrepresentable_timeout_is_a_usage_error() {
+    let old = write_temp("to_old.tex", OLD);
+    let new = write_temp("to_new.tex", NEW);
+    for secs in ["1e20", "-1", "NaN"] {
+        let out = ladiff()
+            .args(["--timeout", secs])
+            .arg(&old)
+            .arg(&new)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "--timeout {secs}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("bad --timeout"), "--timeout {secs}: {err}");
+    }
+}
+
+#[test]
 fn max_depth_flag_is_configurable() {
     let mut deep = String::new();
     for _ in 0..300 {

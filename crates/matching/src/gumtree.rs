@@ -17,7 +17,8 @@
 //!    [dice similarity](crate::dice_stats) above `sim_threshold`.
 //! 3. **Recovery** — immediately after a container pair is adopted, if
 //!    both subtrees are at most `max_recovery_size` nodes, run the exact
-//!    Zhang–Shasha mapping (`hierdiff-zs`) on the pair and adopt every
+//!    Zhang–Shasha mapping on the pair (the recovery kernel shared with
+//!    the `A(k)` refinement, [`recover_matched_pairs`](crate::recover_matched_pairs)) and adopt every
 //!    label-equal, both-unmatched, consistency-preserving pair — the
 //!    "last chance" pass that pairs heavily reworded (renamed) leaves
 //!    FastMatch's exact compare can never accept.
@@ -35,12 +36,12 @@
 use hierdiff_edit::Matching;
 use hierdiff_guard::Guard;
 use hierdiff_tree::{FingerprintIndex, NodeId, NodeValue, Tree};
-use hierdiff_zs::{tree_mapping, UnitCost};
 
 use crate::criteria::MatchCounters;
 use crate::dice::dice_stats;
 use crate::error::MatchError;
 use crate::prune::{anchor_identical, Ambiguous};
+use crate::recover::{recover_pair, Recovery};
 
 /// Configuration for the GumTree strategy.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -299,10 +300,11 @@ fn anchors_consistent<V: NodeValue>(
 }
 
 /// Phase 3: the bounded "last chance" Zhang–Shasha pass on a freshly
-/// adopted container pair. Runs only when both subtrees fit under
-/// `max_recovery_size` and at least one side still has unmatched
-/// descendants; adopted pairs must be label-equal (the paper's ops cannot
-/// relabel), both-unmatched, and consistency-preserving.
+/// adopted container pair, through the shared [`recover_pair`] kernel.
+/// Adopted pairs must be label-equal (the paper's ops cannot relabel),
+/// both-unmatched, and consistency-preserving. LCS-cell exhaustion skips
+/// this and every later recovery and sets `recovery_truncated` (surfaced
+/// as a degraded-matching run); the pairs phases 1–2 adopted stand.
 #[allow(clippy::too_many_arguments)]
 fn recover<V: NodeValue>(
     t1: &Tree<V>,
@@ -315,65 +317,32 @@ fn recover<V: NodeValue>(
     stats: &mut GumTreeStats,
     guard: &Guard,
 ) -> Result<(), MatchError> {
-    if params.max_recovery_size == 0
-        || stats.recovery_truncated
-        || t1.subtree_size(x) > params.max_recovery_size
-        || t2.subtree_size(y) > params.max_recovery_size
-    {
+    if stats.recovery_truncated {
         return Ok(());
     }
-    let unmatched1 = t1.descendants(x).any(|d| m.partner1(d).is_none());
-    let unmatched2 = t2.descendants(y).any(|e| m.partner2(e).is_none());
-    if !unmatched1 && !unmatched2 {
-        return Ok(());
-    }
-    guard.checkpoint()?;
-    let (sub1, map1) = t1.extract_subtree(x);
-    let (sub2, map2) = t2.extract_subtree(y);
-    // ZS is O(n1·n2): charge its cell grid against the run's LCS-cell
-    // budget *before* doing the work. Exhaustion here degrades instead
-    // of failing — the pairs phases 1–2 adopted stand, the remaining
-    // "last chance" passes are skipped, and the caller sees
-    // `recovery_truncated` (surfaced as a degraded-matching run).
-    let cells = (sub1.len() as u64).saturating_mul(sub2.len() as u64);
-    match guard.charge_lcs_cells(cells) {
-        Ok(()) => {}
-        Err(hierdiff_guard::GuardError::Budget(hierdiff_guard::Budget::LcsCells)) => {
+    let pairs = match recover_pair(t1, x, t2, y, params.max_recovery_size, m, guard)? {
+        Recovery::Skipped => return Ok(()),
+        Recovery::Truncated => {
             stats.recovery_truncated = true;
             return Ok(());
         }
-        Err(e) => return Err(MatchError::Guard(e)),
-    }
+        Recovery::Mapped(pairs) => pairs,
+    };
     stats.recovery_runs += 1;
-    let zs = tree_mapping(&sub1, &sub2, &UnitCost);
-    // Adopt ancestors-first (extracted ids are preorder-contiguous, so
-    // sub1 index order is preorder) so the nearest-matched-ancestor
-    // checks see parents before children.
-    let mut pairs: Vec<(NodeId, NodeId)> = zs.iter().collect();
-    pairs.sort_by_key(|(a, _)| a.index());
     for (a, b) in pairs {
         guard.tick()?;
         counters.match_candidates += 1;
-        let orig1 = map1
-            .get(a.index())
-            .copied()
-            .ok_or(MatchError::Internal("zs mapping outside extracted subtree"))?;
-        let orig2 = map2
-            .get(b.index())
-            .copied()
-            .ok_or(MatchError::Internal("zs mapping outside extracted subtree"))?;
-        if t1.label(orig1) != t2.label(orig2) {
+        if t1.label(a) != t2.label(b) {
             continue; // the paper's ops cannot relabel
         }
-        if m.is_matched1(orig1) || m.is_matched2(orig2) {
+        if m.is_matched1(a) || m.is_matched2(b) {
             continue;
         }
-        if !dice_stats(t1, orig1, t2, orig2, m).contained()
-            || !anchors_consistent(t1, orig1, t2, orig2, m, guard)?
+        if !dice_stats(t1, a, t2, b, m).contained() || !anchors_consistent(t1, a, t2, b, m, guard)?
         {
             continue;
         }
-        m.insert(orig1, orig2)
+        m.insert(a, b)
             .map_err(|_| MatchError::Internal("gumtree recovery pair already matched"))?;
         stats.recovered += 1;
     }

@@ -20,6 +20,9 @@
 //!   top-down phase is the same anchoring pass.
 //! * [`postprocess`] — the Section 8 optimality-recovery pass for when
 //!   Matching Criterion 3 fails.
+//! * [`recover_matched_pairs`] — the bounded Zhang–Shasha refinement that
+//!   makes FastMatch plus post-processing the Section 9 `A(k)` matcher; it
+//!   shares one recovery kernel with GumTree's recovery phase.
 //! * [`check_criterion3`] / [`mismatch_upper_bound`] — the Criterion 3
 //!   analysis behind Table 1.
 //! * [`fastmatch_bound`] / [`match_bound`] — the Appendix B analytic bounds
@@ -51,6 +54,7 @@ mod mismatch;
 mod postprocess;
 mod prune;
 mod quality;
+mod recover;
 mod schema;
 mod simple;
 
@@ -69,5 +73,6 @@ pub use mismatch::{check_criterion3, mismatch_upper_bound, Criterion3Report};
 pub use postprocess::postprocess;
 pub use prune::{prune_identical, prune_identical_indexed, PruneStats};
 pub use quality::{match_quality, MatchQuality};
+pub use recover::{recover_matched_pairs, RecoveryStats};
 pub use schema::{check_acyclic, LabelClasses, LabelCycle};
 pub use simple::{label_chains, match_simple, MatchResult};

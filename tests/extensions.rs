@@ -1,13 +1,14 @@
 //! Integration tests for the Section 9 extensions: script inversion, delta
-//! queries, delta-script extraction, the A(k) hybrid matcher, keyed
-//! matching, and HTML output — exercised together over workload corpora.
+//! queries, delta-script extraction, the A(k) matcher (FastMatch with
+//! bounded recovery), keyed matching, and HTML output — exercised together
+//! over workload corpora.
 
 use hierdiff::delta::{build_delta_tree, extract_script, ChangeKind};
 use hierdiff::edit::{apply, edit_script, invert_script};
 use hierdiff::matching::{fast_match, match_by_key, match_quality, MatchParams};
 use hierdiff::tree::{isomorphic, Label, Tree};
 use hierdiff::workload::{generate_document, ground_truth_matching, perturb, DocProfile, EditMix};
-use hierdiff::{match_with_optimality, Differ};
+use hierdiff::{zs_budget, Differ, FastMatchConfig, MatchStrategy};
 
 /// Forward + inverse across many random corpora: the undo loop of the
 /// version-management scenario.
@@ -100,7 +101,14 @@ fn hybrid_levels_monotone_quality() {
         let truth = ground_truth_matching(&t1, &t2);
         let mut last_f1 = 0.0;
         for k in 0..3u32 {
-            let h = match_with_optimality(&t1, &t2, MatchParams::default(), k).unwrap();
+            let h = Differ::new()
+                .strategy(MatchStrategy::FastMatch(FastMatchConfig {
+                    max_recovery_size: zs_budget(k),
+                    ..FastMatchConfig::default()
+                }))
+                .postprocess(k >= 1)
+                .diff(&t1, &t2)
+                .unwrap();
             let q = match_quality(&h.matching, &truth);
             assert!(
                 q.f1() + 0.05 >= last_f1,

@@ -18,15 +18,25 @@ use proptest::prelude::*;
 
 use hierdiff::tree::{isomorphic, Label, NodeValue, Tree};
 use hierdiff::workload::{generate_document, perturb, DocProfile, EditMix};
-use hierdiff::{Audit, DiffResult, Differ, GumTreeParams, MatchStrategy};
+use hierdiff::{
+    zs_budget, Audit, DiffResult, Differ, FastMatchConfig, GumTreeParams, MatchStrategy,
+};
 use hierdiff_doc::DocValue;
 
-/// Every strategy the API exposes, plus GumTree parameter corners: recovery
+/// Every strategy the API exposes, FastMatch with the `A(k)` recovery
+/// refinement at `k = 3`, plus GumTree parameter corners: recovery
 /// disabled (pure two-phase matching) and a permissive/strict variant.
 fn strategies() -> Vec<(&'static str, MatchStrategy)> {
     vec![
         ("fastmatch", MatchStrategy::fast()),
         ("fastmatch+prune", MatchStrategy::fast_pruned()),
+        (
+            "fastmatch+recovery",
+            MatchStrategy::FastMatch(FastMatchConfig {
+                max_recovery_size: zs_budget(3),
+                ..FastMatchConfig::default()
+            }),
+        ),
         ("simple", MatchStrategy::Simple),
         ("gumtree", MatchStrategy::gumtree()),
         (
