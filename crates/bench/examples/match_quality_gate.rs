@@ -112,9 +112,9 @@ fn families() -> Vec<(&'static str, EditMix, u64)> {
 /// The ZS-optimal mapping restricted to label-preserving pairs — the
 /// reference every strategy is scored against.
 fn zs_oracle(t1: &DocTree, t2: &DocTree) -> Matching {
-    let zs = tree_mapping(t1, t2, &UnitCost);
+    let zs = tree_mapping(t1, t1.root(), t2, t2.root(), &UnitCost);
     let mut m = Matching::with_capacity(t1.arena_len(), t2.arena_len());
-    for (x, y) in zs.iter() {
+    for (x, y) in zs {
         if t1.label(x) == t2.label(y) {
             m.insert(x, y).expect("ZS mapping is one-to-one");
         }

@@ -344,7 +344,7 @@ pub fn zs_compare() -> String {
             chawathe_times.push(t_start.elapsed().as_secs_f64());
 
             let z_start = Instant::now();
-            zs_dists.push(tree_distance(&t1, &t2, &UnitCost));
+            zs_dists.push(tree_distance(&t1, t1.root(), &t2, t2.root(), &UnitCost));
             zs_times.push(z_start.elapsed().as_secs_f64());
 
             costs.push(
@@ -492,7 +492,7 @@ pub fn postprocess_experiment() -> String {
         let after = edit_script(&t1, &t2, &m2).expect("live matching");
         let cost_after = after.cost_on(&t1, &CostModel::paper()).unwrap();
 
-        let zs = tree_distance(&t1, &t2, &UnitCost);
+        let zs = tree_distance(&t1, t1.root(), &t2, t2.root(), &UnitCost);
         if cost_after < cost_before {
             improved += 1;
         }
@@ -616,9 +616,9 @@ pub fn ak_sweep() -> String {
             let (t2, _) = perturb(&t1, 15_100 + seed, 8, &EditMix::default(), &profile);
             let zs_ref = {
                 // Label-preserving ZS mapping as the optimality reference.
-                let zs = tree_mapping(&t1, &t2, &UnitCost);
+                let zs = tree_mapping(&t1, t1.root(), &t2, t2.root(), &UnitCost);
                 let mut m = Matching::with_capacity(t1.arena_len(), t2.arena_len());
-                for (x, y) in zs.iter() {
+                for (x, y) in zs {
                     if t1.label(x) == t2.label(y) {
                         m.insert(x, y).expect("one-to-one");
                     }

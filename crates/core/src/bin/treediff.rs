@@ -30,11 +30,12 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use hierdiff_core::{
-    zs_budget, Budgets, DiffError, Differ, FastMatchConfig, GumTreeParams, MatchStrategy, Phase,
-    PipelineObserver, Recorder,
+    zs_budget, Budgets, DiffError, DiffResult, Differ, FastMatchConfig, GumTreeParams,
+    MatchStrategy, Phase, PipelineObserver, Recorder,
 };
 use hierdiff_matching::MatchParams;
 use hierdiff_tree::Tree;
@@ -334,15 +335,10 @@ fn run_audit(cli: Cli, mut recorder: Option<Recorder>) -> Result<(), Failure> {
             let report = result
                 .audit
                 .ok_or("audit requested but no report produced")?;
-            for d in report.diagnostics() {
-                println!("{d}");
-            }
-            println!(
-                "audit: {} checks, {} finding(s), 0 errors",
-                report.checks_run,
-                report.len()
-            );
-            Ok(())
+            stdout_done(write_audit(
+                &mut io::BufWriter::new(io::stdout().lock()),
+                &report,
+            ))
         }
         Err(DiffError::Audit(report)) => {
             for d in report.diagnostics() {
@@ -360,6 +356,19 @@ fn run_audit(cli: Cli, mut recorder: Option<Recorder>) -> Result<(), Failure> {
     }
 }
 
+fn write_audit(out: &mut impl Write, report: &hierdiff_core::AuditReport) -> io::Result<()> {
+    for d in report.diagnostics() {
+        writeln!(out, "{d}")?;
+    }
+    writeln!(
+        out,
+        "audit: {} checks, {} finding(s), 0 errors",
+        report.checks_run,
+        report.len()
+    )?;
+    out.flush()
+}
+
 fn run_diff(cli: Cli, mut recorder: Option<Recorder>) -> Result<(), Failure> {
     let differ = differ_for(&cli);
     let outcome = match recorder.as_mut() {
@@ -371,55 +380,17 @@ fn run_diff(cli: Cli, mut recorder: Option<Recorder>) -> Result<(), Failure> {
     emit_profile(recorder, cli.profile)?;
     let result = outcome.map_err(fail_for)?;
 
-    match cli.output.as_str() {
-        "script" => println!("{}", result.script),
+    let mut out = io::BufWriter::new(io::stdout().lock());
+    let written = match cli.output.as_str() {
+        "script" => writeln!(out, "{}", result.script),
         "delta" => {
             let delta = result
                 .delta
                 .as_ref()
                 .ok_or("delta tree was not built for this run")?;
-            print!("{}", hierdiff_delta::render_text(delta));
+            write!(out, "{}", hierdiff_delta::render_text(delta))
         }
-        "stats" => {
-            let c = result.script.op_counts();
-            let strategy = if cli.k == 0 {
-                cli.strategy.name()
-            } else {
-                "hybrid A(k)"
-            };
-            println!("strategy:           {strategy}");
-            println!("old nodes:          {}", cli.old.len());
-            println!("new nodes:          {}", cli.new.len());
-            println!("matched pairs:      {}", result.matching.len());
-            println!(
-                "script:             {} ops (ins {}, del {}, upd {}, mov {})",
-                c.total(),
-                c.inserts,
-                c.deletes,
-                c.updates,
-                c.moves
-            );
-            println!("weighted distance:  {}", result.weighted_distance());
-            println!(
-                "comparisons:        {} leaf compares + {} partner checks",
-                result.counters.leaf_compares, result.counters.partner_checks
-            );
-            if cli.prune() {
-                println!(
-                    "pruned wholesale:   {} nodes ({} verified subtree pairs, {} hash collisions)",
-                    result.counters.nodes_pruned,
-                    result.counters.prune_candidates,
-                    result.counters.prune_collisions
-                );
-            }
-            if let Some(report) = &result.audit {
-                println!(
-                    "audit:              {} checks, {} finding(s)",
-                    report.checks_run,
-                    report.len()
-                );
-            }
-        }
+        "stats" => write_stats(&mut out, &cli, &result),
         "json" => {
             let json = serde_json::json!({
                 "old_nodes": cli.old.len(),
@@ -431,14 +402,69 @@ fn run_diff(cli: Cli, mut recorder: Option<Recorder>) -> Result<(), Failure> {
                 "audit_findings": result.audit.as_ref().map(hierdiff_core::AuditReport::len),
                 "script": result.script,
             });
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&json).map_err(|e| format!("render json: {e}"))?
-            );
+            let text =
+                serde_json::to_string_pretty(&json).map_err(|e| format!("render json: {e}"))?;
+            writeln!(out, "{text}")
         }
         other => return Err(format!("unknown output {other:?}").into()),
+    };
+    stdout_done(written.and_then(|()| out.flush()))
+}
+
+fn write_stats(out: &mut impl Write, cli: &Cli, result: &DiffResult<String>) -> io::Result<()> {
+    let c = result.script.op_counts();
+    let strategy = if cli.k == 0 {
+        cli.strategy.name()
+    } else {
+        "hybrid A(k)"
+    };
+    writeln!(out, "strategy:           {strategy}")?;
+    writeln!(out, "old nodes:          {}", cli.old.len())?;
+    writeln!(out, "new nodes:          {}", cli.new.len())?;
+    writeln!(out, "matched pairs:      {}", result.matching.len())?;
+    writeln!(
+        out,
+        "script:             {} ops (ins {}, del {}, upd {}, mov {})",
+        c.total(),
+        c.inserts,
+        c.deletes,
+        c.updates,
+        c.moves
+    )?;
+    writeln!(out, "weighted distance:  {}", result.weighted_distance())?;
+    writeln!(
+        out,
+        "comparisons:        {} leaf compares + {} partner checks",
+        result.counters.leaf_compares, result.counters.partner_checks
+    )?;
+    if cli.prune() {
+        writeln!(
+            out,
+            "pruned wholesale:   {} nodes ({} verified subtree pairs, {} hash collisions)",
+            result.counters.nodes_pruned,
+            result.counters.prune_candidates,
+            result.counters.prune_collisions
+        )?;
+    }
+    if let Some(report) = &result.audit {
+        writeln!(
+            out,
+            "audit:              {} checks, {} finding(s)",
+            report.checks_run,
+            report.len()
+        )?;
     }
     Ok(())
+}
+
+/// Ends a run's stdout output. A reader that stops early (`treediff … |
+/// head`) closes the pipe: that ends the output, not the run, so a broken
+/// pipe still exits 0.
+fn stdout_done(written: io::Result<()>) -> Result<(), Failure> {
+    match written {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(format!("write output: {e}").into()),
+        _ => Ok(()),
+    }
 }
 
 fn run() -> Result<(), Failure> {

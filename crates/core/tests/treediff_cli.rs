@@ -412,3 +412,38 @@ fn parse_error_reported() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad.sexpr"));
 }
+
+/// A reader that stops after one line closes stdout mid-output: treediff
+/// ends quietly with exit 0 instead of panicking (exit 101) on the broken
+/// pipe.
+#[test]
+fn closed_stdout_ends_the_output_quietly() {
+    // The delta of an identical pair prints every node: ~130 KB, more
+    // than a pipe buffer holds.
+    let body: Vec<String> = (0..4000)
+        .map(|i| format!("(P (S \"sentence number {i}\"))"))
+        .collect();
+    let doc = format!("(D {})", body.join(" "));
+    let old = write_temp("pipe_old.sexpr", &doc);
+    let new = write_temp("pipe_new.sexpr", &doc);
+    let mut child = treediff()
+        .args(["--output", "delta"])
+        .arg(&old)
+        .arg(&new)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    std::io::BufRead::read_line(
+        &mut std::io::BufReader::new(child.stdout.take().unwrap()),
+        &mut first,
+    )
+    .unwrap();
+    assert_eq!(first.trim(), "D");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(out.status.success(), "{stderr}");
+}

@@ -26,11 +26,12 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
 use hierdiff_core::{Budgets, DiffError, GumTreeParams, MatchStrategy};
-use hierdiff_doc::{ladiff, DocError, DocFormat, LaDiffOptions};
+use hierdiff_doc::{ladiff, DocError, DocFormat, LaDiffOptions, LaDiffOutput};
 use hierdiff_matching::MatchParams;
 
 struct Args {
@@ -267,33 +268,14 @@ fn run() -> Result<(), Failure> {
         max_depth: args.max_depth,
     };
     let out = ladiff(&old_src, &new_src, &options).map_err(fail_for)?;
-    match args.output {
-        Output::Markup => println!("{}", out.markup),
-        Output::Html => println!("{}", out.markup_html()),
-        Output::Markdown => println!("{}", out.markup_markdown()),
-        Output::Script => println!("{}", out.result.script),
-        Output::Delta => println!("{}", hierdiff_delta::render_text(&out.delta)),
-        Output::Stats => {
-            let s = &out.stats;
-            println!("strategy:          {}", options.strategy.name());
-            println!("old nodes:         {}", s.old_nodes);
-            println!("new nodes:         {}", s.new_nodes);
-            println!("matched pairs:     {}", s.matched);
-            println!("rematched (post):  {}", s.rematched);
-            println!(
-                "edit script:       {} ops (ins {}, del {}, upd {}, mov {})",
-                s.ops.total(),
-                s.ops.inserts,
-                s.ops.deletes,
-                s.ops.updates,
-                s.ops.moves
-            );
-            println!("weighted distance: {}", s.weighted_distance);
-            println!(
-                "comparisons:       r1 = {} leaf compares, r2 = {} partner checks",
-                s.counters.leaf_compares, s.counters.partner_checks
-            );
-        }
+    let mut stdout = io::BufWriter::new(io::stdout().lock());
+    let written = match args.output {
+        Output::Markup => writeln!(stdout, "{}", out.markup),
+        Output::Html => writeln!(stdout, "{}", out.markup_html()),
+        Output::Markdown => writeln!(stdout, "{}", out.markup_markdown()),
+        Output::Script => writeln!(stdout, "{}", out.result.script),
+        Output::Delta => writeln!(stdout, "{}", hierdiff_delta::render_text(&out.delta)),
+        Output::Stats => write_stats(&mut stdout, &options, &out),
         Output::Json => {
             let json = serde_json::json!({
                 "old_nodes": out.stats.old_nodes,
@@ -308,13 +290,45 @@ fn run() -> Result<(), Failure> {
                 "weighted_distance": out.stats.weighted_distance,
                 "script": out.result.script,
             });
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&json).map_err(|e| format!("render json: {e}"))?
-            );
+            let text =
+                serde_json::to_string_pretty(&json).map_err(|e| format!("render json: {e}"))?;
+            writeln!(stdout, "{text}")
         }
+    };
+    // A reader that stops early (`ladiff … | head`) closes the pipe: that
+    // ends the output, not the run, so a broken pipe still exits 0.
+    match written.and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(format!("write output: {e}").into()),
+        _ => Ok(()),
     }
-    Ok(())
+}
+
+fn write_stats(
+    out: &mut impl Write,
+    options: &LaDiffOptions,
+    diff: &LaDiffOutput,
+) -> io::Result<()> {
+    let s = &diff.stats;
+    writeln!(out, "strategy:          {}", options.strategy.name())?;
+    writeln!(out, "old nodes:         {}", s.old_nodes)?;
+    writeln!(out, "new nodes:         {}", s.new_nodes)?;
+    writeln!(out, "matched pairs:     {}", s.matched)?;
+    writeln!(out, "rematched (post):  {}", s.rematched)?;
+    writeln!(
+        out,
+        "edit script:       {} ops (ins {}, del {}, upd {}, mov {})",
+        s.ops.total(),
+        s.ops.inserts,
+        s.ops.deletes,
+        s.ops.updates,
+        s.ops.moves
+    )?;
+    writeln!(out, "weighted distance: {}", s.weighted_distance)?;
+    writeln!(
+        out,
+        "comparisons:       r1 = {} leaf compares, r2 = {} partner checks",
+        s.counters.leaf_compares, s.counters.partner_checks
+    )
 }
 
 fn main() -> ExitCode {

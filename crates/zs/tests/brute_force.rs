@@ -220,7 +220,8 @@ fn zs_matches_brute_force_on_all_tiny_pairs() {
     let mut checked = 0;
     for a in trees.iter().step_by(stride) {
         for b in trees.iter().step_by(stride) {
-            let zs = tree_distance(&to_tree(a), &to_tree(b), &UnitCost) as usize;
+            let (ta, tb) = (to_tree(a), to_tree(b));
+            let zs = tree_distance(&ta, ta.root(), &tb, tb.root(), &UnitCost) as usize;
             if zs > 4 {
                 // Uniform-cost search is exponential in the distance; the
                 // far-apart tiny pairs are all degenerate
@@ -252,7 +253,8 @@ fn zs_matches_brute_force_on_selected_4_node_pairs() {
     let sample: Vec<&T> = four.iter().step_by(step).collect();
     for (i, a) in sample.iter().enumerate() {
         for b in sample.iter().skip(i) {
-            let zs = tree_distance(&to_tree(a), &to_tree(b), &UnitCost) as usize;
+            let (ta, tb) = (to_tree(a), to_tree(b));
+            let zs = tree_distance(&ta, ta.root(), &tb, tb.root(), &UnitCost) as usize;
             if zs > 3 {
                 continue; // see the cap note in the tiny-pairs test
             }

@@ -39,9 +39,9 @@ fn zs_mapping_drives_editscript() {
     for seed in 0..10u64 {
         let t1 = generate_document(seed, &profile);
         let (t2, _) = perturb(&t1, seed + 50, 5, &EditMix::default(), &profile);
-        let zs = tree_mapping(&t1, &t2, &UnitCost);
+        let zs = tree_mapping(&t1, t1.root(), &t2, t2.root(), &UnitCost);
         let mut m = Matching::with_capacity(t1.arena_len(), t2.arena_len());
-        for (x, y) in zs.iter() {
+        for (x, y) in zs {
             if t1.label(x) == t2.label(y) {
                 m.insert(x, y).unwrap();
             }
@@ -72,7 +72,7 @@ fn fastmatch_cost_near_zs_optimum_under_criterion3() {
         let matched = fast_match(&t1, &t2, MatchParams::default()).unwrap();
         let res = edit_script(&t1, &t2, &matched.matching).unwrap();
         let cost = res.cost_on(&t1, &CostModel::paper()).unwrap();
-        let zs = tree_distance(&t1, &t2, &UnitCost);
+        let zs = tree_distance(&t1, t1.root(), &t2, t2.root(), &UnitCost);
         total_chawathe += cost;
         total_zs += zs;
         assert!(
@@ -117,7 +117,7 @@ fn randomized_differential_vs_zs_with_and_without_pruning() {
                 continue; // bound only documented under Criterion 3
             }
             cases += 1;
-            let zs = tree_distance(&t1, &t2, &UnitCost);
+            let zs = tree_distance(&t1, t1.root(), &t2, t2.root(), &UnitCost);
 
             let plain = fast_match(&t1, &t2, MatchParams::default()).unwrap();
             let plain_res = edit_script(&t1, &t2, &plain.matching).unwrap();
@@ -169,7 +169,7 @@ fn moves_cheaper_than_zs_reinsertion() {
     let matched = fast_match(&t1, &t2, MatchParams::default()).unwrap();
     let res = edit_script(&t1, &t2, &matched.matching).unwrap();
     let cost = res.cost_on(&t1, &CostModel::paper()).unwrap();
-    let zs = tree_distance(&t1, &t2, &UnitCost);
+    let zs = tree_distance(&t1, t1.root(), &t2, t2.root(), &UnitCost);
     assert_eq!(cost, 1.0, "one move: {}", res.script);
     assert!(zs > cost, "ZS must pay for the move: {zs}");
 }
@@ -180,7 +180,7 @@ fn moves_cheaper_than_zs_reinsertion() {
 fn zs_cheaper_when_promoting_children() {
     let t1 = Tree::parse_sexpr(r#"(D (Wrapper (S "a") (S "b") (S "c")))"#).unwrap();
     let t2 = Tree::parse_sexpr(r#"(D (S "a") (S "b") (S "c"))"#).unwrap();
-    let zs = tree_distance(&t1, &t2, &UnitCost);
+    let zs = tree_distance(&t1, t1.root(), &t2, t2.root(), &UnitCost);
     assert_eq!(zs, 1.0, "one child-promoting delete");
     let matched = fast_match(&t1, &t2, MatchParams::default()).unwrap();
     let res = edit_script(&t1, &t2, &matched.matching).unwrap();
