@@ -22,89 +22,10 @@ use hierdiff_core::MatchStrategy;
 use hierdiff_doc::{ladiff, render_html, LaDiffOptions};
 use hierdiff_matching::MatchParams;
 
-const FIG14_OLD: &str = r#"\section{First things first}
-
-Computer system manuals usually make dull reading, but take heart: This
-one contains JOKES every once in a while, so you might actually enjoy
-reading it. (However, most of the jokes can only be appreciated properly
-if you understand a technical point that is being made -- so read
-carefully.)
-
-Another noteworthy characteristic of this manual is that it doesn't
-always tell the truth. When certain concepts of TeX are introduced
-informally, general rules will be stated; afterwards you will find that
-the rules aren't strictly true. In general, the later chapters contain
-more reliable information than the earlier ones do. The author feels
-that this technique of deliberate lying will actually make it easier for
-you to learn the ideas. Once you understand a simple but false rule, it
-will not be hard to supplement that rule with its exceptions.
-
-\section{Another way to look at it}
-
-In order to help you internalize what you're reading, exercises are
-sprinkled through this manual. It is generally intended that every
-reader should try every exercise, except for questions that appear in
-the "dangerous bend" areas. If you can't solve a problem, you can always
-look up the answer. But please, try first to solve it by yourself; then
-you'll learn more and you'll learn faster. Furthermore, if you think you
-do know the solution, you should turn to Appendix A and check it out,
-just to make sure.
-
-\section{Conclusion}
-
-The TeX language described in this book is similar to the author's first
-attempt at a document formatting language, but the new system differs
-from the old one in literally thousands of details. Both languages have
-been called TeX; but henceforth the old language should be called TeX78,
-and its use should rapidly fade away. Let's keep the name TeX for the
-language described here, since it is so much better, and since it is not
-going to change any more.
-"#;
-
-const FIG15_NEW: &str = r#"\section{Introduction}
-
-The TeX language described in this book has a predecessor, but the new
-system differs from the old one in literally thousands of details.
-Computer manuals usually make extremely dull reading, but don't worry:
-This one contains JOKES every once in a while, so you might actually
-enjoy reading it. (However, most of the jokes can only be appreciated
-properly if you understand a technical point that is being made -- so
-read carefully.)
-
-\section{The details}
-
-English words like 'technology' stem from a Greek root beginning with
-letters tau epsilon chi; and this same Greek work means art as well as
-technology. Hence the name TeX, which is an uppercase of tau epsilon
-chi.
-
-Another noteworthy characteristic of this manual is that it doesn't
-always tell the truth. This feature may seem strange, but it isn't. When
-certain concepts of TeX are introduced informally, general rules will be
-stated; afterwards you will find that the rules aren't strictly true.
-The author feels that this technique of deliberate lying will actually
-make it easier for you to learn the ideas. Once you understand a simple
-but false rule, it will not be hard to supplement that rule with its
-exceptions.
-
-\section{Moving on}
-
-It is generally intended that every reader should try every exercise,
-except for questions that appear in the "dangerous bend" areas. If you
-can't solve a problem, you can always look up the answer. But please,
-try first to solve it by yourself; then you'll learn more and you'll
-learn faster. Furthermore, if you think you do know the solution, you
-should turn to Appendix A and check it out, just to make sure. In order
-to help you better internalize what you read, exercises are sprinkled
-through this manual.
-
-\section{Conclusion}
-
-Both languages have been called TeX; but henceforth the old language
-should be called TeX78, and its use should rapidly fade away. Let's keep
-the name TeX for the language described here, since it is so much
-better, and since it is not going to change any more.
-"#;
+// The documents live in `fixtures/` so the markup goldens
+// (`tests/markup_goldens.rs`) render the same sample.
+const FIG14_OLD: &str = include_str!("../../../fixtures/appendix_a_old.tex");
+const FIG15_NEW: &str = include_str!("../../../fixtures/appendix_a_new.tex");
 
 fn run() -> hierdiff_doc::LaDiffOutput {
     // The sample's rewordings are heavier than the default f = 0.5 allows
