@@ -171,6 +171,24 @@ impl<V: NodeValue> DeltaTree<V> {
         })
     }
 
+    /// The markers of the tree's moves in reading order: a move takes its
+    /// place from whichever endpoint — the moved node or its marker —
+    /// comes first in preorder. This is the numbering of the paper's
+    /// Figure 16, where the introduction's "Moved from S1" footnote
+    /// precedes the `S1` label near the end. Every renderer numbers moves
+    /// by their position in this list.
+    pub fn move_order(&self) -> Vec<DeltaNodeId> {
+        let mut seen = std::collections::HashSet::new();
+        self.preorder()
+            .filter_map(|id| match self.annotation(id) {
+                Annotation::Marker { .. } => Some(id),
+                Annotation::Moved { mark, .. } => Some(*mark),
+                _ => None,
+            })
+            .filter(|&mark| seen.insert(mark))
+            .collect()
+    }
+
     /// Counts nodes per annotation tag.
     pub fn annotation_counts(&self) -> AnnotationCounts {
         let mut c = AnnotationCounts::default();

@@ -11,7 +11,7 @@ use crate::{Annotation, DeltaNodeId, DeltaTree};
 
 /// Renders `delta` as an indented text diagram. Each changed node is
 /// prefixed with a change sigil, and move pairs are cross-referenced with
-/// `#k` labels:
+/// `#k` labels, numbered in [`DeltaTree::move_order`]:
 ///
 /// ```text
 ///   D
@@ -22,14 +22,10 @@ use crate::{Annotation, DeltaNodeId, DeltaTree};
 ///     ⌫ S "moved away" (#1)
 /// ```
 pub fn render_text<V: NodeValue>(delta: &DeltaTree<V>) -> String {
-    // Assign stable small numbers to move pairs (by marker visit order).
-    let mut mark_no: HashMap<DeltaNodeId, usize> = HashMap::new();
-    for id in delta.preorder() {
-        if let Annotation::Marker { .. } = delta.annotation(id) {
-            let n = mark_no.len() + 1;
-            mark_no.insert(id, n);
-        }
-    }
+    let mark_no: HashMap<DeltaNodeId, usize> = (1..)
+        .zip(delta.move_order())
+        .map(|(n, mark)| (mark, n))
+        .collect();
     let mut out = String::new();
     render(delta, delta.root(), 0, &mark_no, &mut out);
     out
@@ -45,56 +41,28 @@ fn render<V: NodeValue>(
     for _ in 0..depth {
         out.push_str("  ");
     }
-    let label = delta.label(id);
-    match delta.annotation(id) {
-        Annotation::Identical => {
-            let _ = write!(out, "{label}");
-        }
-        Annotation::Updated { old } => {
-            let _ = write!(out, "~ {label}");
-            if !delta.value(id).is_null() {
-                let _ = write!(out, " {:?} (was {:?})", delta.value(id), old);
-            }
-        }
-        Annotation::Inserted => {
-            let _ = write!(out, "+ {label}");
-        }
-        Annotation::Deleted => {
-            let _ = write!(out, "- {label}");
-        }
-        Annotation::Moved { mark, old } => {
-            let n = mark_no.get(mark).copied().unwrap_or(0);
-            let _ = write!(out, "\u{2192} {label}");
-            if let Some(old) = old {
-                if !delta.value(id).is_null() {
-                    let _ = write!(out, " {:?} (was {:?})", delta.value(id), old);
-                }
-            } else if !delta.value(id).is_null() {
-                let _ = write!(out, " {:?}", delta.value(id));
-            }
-            let _ = write!(out, " (from #{n})");
-            // Value printing handled above; skip the generic value print.
-            out.push('\n');
-            for &c in delta.children(id) {
-                render(delta, c, depth + 1, mark_no, out);
-            }
-            return;
-        }
-        Annotation::Marker { .. } => {
-            let n = mark_no.get(&id).copied().unwrap_or(0);
-            let _ = write!(out, "\u{232B} {label}");
-            if !delta.value(id).is_null() {
-                let _ = write!(out, " {:?}", delta.value(id));
-            }
-            let _ = write!(out, " (#{n})");
-            out.push('\n');
-            return;
+    let number = |mark: &DeltaNodeId| mark_no.get(mark).copied().unwrap_or(0);
+    let (sigil, old, link) = match delta.annotation(id) {
+        Annotation::Identical => ("", None, String::new()),
+        Annotation::Updated { old } => ("~ ", Some(old), String::new()),
+        Annotation::Inserted => ("+ ", None, String::new()),
+        Annotation::Deleted => ("- ", None, String::new()),
+        Annotation::Moved { mark, old } => (
+            "\u{2192} ",
+            old.as_ref(),
+            format!(" (from #{})", number(mark)),
+        ),
+        Annotation::Marker { .. } => ("\u{232B} ", None, format!(" (#{})", number(&id))),
+    };
+    let _ = write!(out, "{sigil}{}", delta.label(id));
+    let value = delta.value(id);
+    if !value.is_null() {
+        let _ = write!(out, " {value:?}");
+        if let Some(old) = old {
+            let _ = write!(out, " (was {old:?})");
         }
     }
-    // Generic value print for IDN/INS/DEL (UPD printed its own).
-    if !matches!(delta.annotation(id), Annotation::Updated { .. }) && !delta.value(id).is_null() {
-        let _ = write!(out, " {:?}", delta.value(id));
-    }
+    out.push_str(&link);
     out.push('\n');
     for &c in delta.children(id) {
         render(delta, c, depth + 1, mark_no, out);
@@ -128,6 +96,23 @@ mod tests {
         assert!(text.contains("\u{2192} S \"mover\" (from #1)"), "{text}");
         assert!(text.contains("\u{232B} S \"mover\" (#1)"), "{text}");
         assert!(text.contains("S \"keep\""), "{text}");
+    }
+
+    #[test]
+    fn moves_are_numbered_in_reading_order() {
+        // "x" moves to the front: its new position comes before the marker
+        // of "y", which comes before the marker of "x". Reading order makes
+        // "x" move #1 although its marker is the second one.
+        let d = delta(
+            r#"(D (S "a") (S "b") (S "y") (S "c") (S "d") (S "x"))"#,
+            r#"(D (S "x") (S "a") (S "b") (S "c") (S "d") (S "y"))"#,
+        );
+        let text = render_text(&d);
+        assert!(text.contains("\u{2192} S \"x\" (from #1)"), "{text}");
+        assert!(text.contains("\u{232B} S \"x\" (#1)"), "{text}");
+        assert!(text.contains("\u{232B} S \"y\" (#2)"), "{text}");
+        assert!(text.contains("\u{2192} S \"y\" (from #2)"), "{text}");
+        assert_eq!(d.move_order().len(), 2);
     }
 
     #[test]

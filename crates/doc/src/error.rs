@@ -75,16 +75,21 @@ impl From<DiffError> for DocError {
     }
 }
 
-/// Maximum root-to-leaf depth of `tree` (root alone = 1), computed
-/// iteratively so the check itself cannot overflow on pathological input.
+/// Maximum root-to-leaf depth of `tree` (root alone = 1).
 pub(crate) fn tree_depth<V: NodeValue>(tree: &Tree<V>) -> usize {
+    nesting_depth(tree.root(), |node| tree.children(node))
+}
+
+/// Maximum root-to-leaf depth below `root` (root alone = 1) of any tree
+/// whose child lists `children` returns — document and delta trees alike —
+/// computed iteratively so the check itself cannot overflow on
+/// pathological input.
+pub(crate) fn nesting_depth<'t, N: Copy + 't>(root: N, children: impl Fn(N) -> &'t [N]) -> usize {
     let mut max = 0usize;
-    let mut stack = vec![(tree.root(), 1usize)];
+    let mut stack = vec![(root, 1usize)];
     while let Some((node, depth)) = stack.pop() {
         max = max.max(depth);
-        for &child in tree.children(node) {
-            stack.push((child, depth + 1));
-        }
+        stack.extend(children(node).iter().map(|&child| (child, depth + 1)));
     }
     max
 }

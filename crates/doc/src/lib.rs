@@ -12,7 +12,12 @@
 //! * [`DocValue`] / [`word_distance`] — the word-LCS sentence `compare`.
 //! * [`ladiff`] — the end-to-end pipeline (parse → match → edit script →
 //!   delta tree → markup).
-//! * [`render_latex`] — the Table 2 mark-up conventions.
+//! * [`render_latex`] / [`render_html`] / [`render_markdown`] — one
+//!   preorder walker over the delta tree renders Table 2's mark-up
+//!   conventions in three syntaxes, each supplying only its escaping and
+//!   format strings. Moves are named by one rule in all of them: in
+//!   [`DeltaTree::move_order`](hierdiff_delta::DeltaTree::move_order),
+//!   sentences `S1…` and blocks `P1…`.
 //!
 //! A command-line front end ships as the `ladiff` binary.
 //!
@@ -34,8 +39,6 @@ mod html;
 mod latex;
 mod markdown;
 mod markup;
-mod markup_html;
-mod markup_md;
 mod pipeline;
 mod segment;
 mod value;
@@ -47,9 +50,10 @@ pub use error::{DocError, DEFAULT_MAX_DEPTH};
 pub use html::parse_html;
 pub use latex::{parse_latex, try_parse_latex};
 pub use markdown::parse_markdown;
-pub use markup::render_latex;
-pub use markup_html::{escape_html, refine_words, render_html, render_html_with, HtmlOptions};
-pub use markup_md::{render_markdown, try_render_markdown};
+pub use markup::{
+    escape_html, refine_words, render_html, render_html_with, render_latex, render_markdown,
+    try_render_markdown, HtmlOptions,
+};
 pub use pipeline::{diff_trees, ladiff, DocFormat, LaDiffOptions, LaDiffOutput, LaDiffStats};
 pub use segment::{normalize_ws, split_paragraphs, split_sentences};
 pub use value::{word_distance, words, DocValue, WordTokens};

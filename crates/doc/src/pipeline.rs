@@ -133,13 +133,13 @@ impl LaDiffOutput {
     /// Renders the delta as annotated HTML (see
     /// [`render_html`](crate::render_html)).
     pub fn markup_html(&self) -> String {
-        crate::markup_html::render_html(&self.delta)
+        crate::markup::render_html(&self.delta)
     }
 
     /// Renders the delta as annotated Markdown (see
     /// [`render_markdown`](crate::render_markdown)).
     pub fn markup_markdown(&self) -> String {
-        crate::markup_md::render_markdown(&self.delta)
+        crate::markup::render_markdown(&self.delta)
     }
 }
 
