@@ -1,5 +1,5 @@
-//! The burn-down allowlist contract shared by `xtask lint` (L0xx) and
-//! `xtask analyze` (S0xx): one `<path> <CODE>` line per known offence,
+//! The burn-down allowlist contract of `xtask analyze`, one list for every
+//! `L0xx` and `S0xx` code: one `<path> <CODE>` line per known offence,
 //! counts compared per `(path, code)`. The list is a burn-down, not a
 //! licence — entries that no longer match a real offence are *stale* and
 //! fail the run until removed, so a list can only shrink.

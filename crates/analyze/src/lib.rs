@@ -12,8 +12,10 @@
 //! * [`resolve`] — the path-, import-, and impl-resolved call graph every
 //!   reachability pass walks; trait objects and generics stay documented
 //!   over-approximations.
-//! * [`panics`] — **S001–S004**: panicking constructs transitively
-//!   reachable from the `Differ` facade, batch workers, and CLI mains.
+//! * [`panics`] — the one panic-site scan: a `.unwrap()`, `.expect(`,
+//!   panic-family macro or `[…]` index is **S001–S004** when the `Differ`
+//!   facade or a CLI main transitively reaches it, and **L001–L004** (no
+//!   code for `unreachable!` or indexing) when nothing does.
 //! * [`hotloop`] — **S010/S011**: allocation and `dyn` dispatch inside
 //!   loop bodies of `hierdiff-analyze: hot-module`-marked files.
 //! * [`api`] — **S020/S021**: public-API surface snapshots under `api/`,
@@ -28,15 +30,18 @@
 //!   lock-order cycles, `PoisonError::into_inner` recovery, foreign or
 //!   blocking calls under a lock, unwind-unsafe `catch_unwind`
 //!   boundaries, and guard checkpoints under a lock.
-//! * [`lints`] — the **L001–L008** workspace lints, rewritten over the
-//!   shared token stream (the old line scanner is retired).
-//! * [`allow`] — the burn-down allowlist contract both lint families use.
+//! * [`lints`] — the **L005/L006/L008** lexical lints: forbid `unsafe`,
+//!   `NodeId::from_index` outside `crates/tree`, `pub fn diff_*` outside
+//!   `crates/core`.
+//! * [`allow`] — the burn-down allowlist contract: one list,
+//!   `crates/xtask/analyze-allow.txt`, for every code.
 //! * [`report`] — findings, human rendering, and the hand-rolled JSON
 //!   report.
 //! * [`workspace`] — file discovery and the `cargo run -p xtask --
-//!   analyze` / `-- lint` engines.
+//!   analyze` engine, which runs every pass above over one loaded
+//!   workspace.
 //!
-//! See DESIGN.md ("Static analysis") for the S-code catalogue, the call
+//! See DESIGN.md ("Diagnostics & static analysis") for the code table, the call
 //! graph's documented imprecision, and the snapshot review workflow.
 
 #![forbid(unsafe_code)]
@@ -60,6 +65,5 @@ pub use allow::{judge, parse_allowlist, render_allowlist, Verdict};
 pub use concurrency::LockModel;
 pub use report::{render_json, Finding};
 pub use workspace::{
-    run_analysis, run_analysis_threads, run_l_lints, write_api_snapshots, Analysis, Workspace,
-    API_DIR,
+    run_analysis, run_analysis_threads, write_api_snapshots, Analysis, Workspace, API_DIR,
 };

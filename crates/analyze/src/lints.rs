@@ -1,61 +1,36 @@
-//! The `L0xx` workspace lints, rewritten over the shared token stream:
-//! purely lexical checks against the masked source (see
-//! [`Lexed::masked`](crate::lexer::Lexed::masked)), with the same finding
-//! semantics as the retired line scanner — the burn-down allowlist carries
-//! over unchanged — plus char-exact columns.
+//! The `L0xx` workspace lints that are not panic sites: purely lexical
+//! checks against the masked source (see
+//! [`Lexed::masked`](crate::lexer::Lexed::masked)), so a pattern inside a
+//! string or comment does not count. `L001`–`L004` (unreachable panic
+//! sites) come from the one panic-site scan in [`crate::panics`].
 //!
 //! | code | check |
 //! |------|-------|
-//! | `L001` | `.unwrap()` in non-test library code |
-//! | `L002` | `.expect(` in non-test library code |
-//! | `L003` | `panic!` in non-test library code |
-//! | `L004` | `todo!` / `unimplemented!` in non-test library code |
 //! | `L005` | crate root / binary missing `#![forbid(unsafe_code)]` |
 //! | `L006` | `NodeId::from_index` outside `crates/tree` |
-//! | `L007` | raw `nodes[` arena indexing outside `crates/tree` |
 //! | `L008` | `pub fn diff_*` free function outside `crates/core` |
 
 use crate::parser::FileModel;
 use crate::report::Finding;
 
-/// Substring patterns checked on every non-test line of library code.
-/// (Comments and literal contents are masked out first, so a pattern inside
-/// a string or doc comment does not count.)
-const LINE_LINTS: &[(&str, &str, &str)] = &[
-    ("L001", ".unwrap()", "`.unwrap()` in non-test library code"),
-    ("L002", ".expect(", "`.expect(` in non-test library code"),
-    ("L003", "panic!", "`panic!` in non-test library code"),
-    ("L004", "todo!", "`todo!` in non-test library code"),
-    (
-        "L004",
-        "unimplemented!",
-        "`unimplemented!` in non-test library code",
-    ),
-];
-
-/// Line lints that only apply outside `crates/tree` (the arena's own
-/// implementation is the one place allowed to mint ids and index raw).
-const NON_TREE_LINTS: &[(&str, &str, &str)] = &[
+/// Substring lints, each `(code, pattern, message, exempt crate prefix)`:
+/// the arena's own implementation is the one place allowed to mint ids,
+/// and the `Differ` facade (with its compatibility shims) the one
+/// sanctioned home for `diff_*` entry points.
+const LINE_LINTS: &[(&str, &str, &str, &str)] = &[
     (
         "L006",
         "NodeId::from_index",
         "raw `NodeId::from_index` outside crates/tree",
+        "crates/tree/",
     ),
     (
-        "L007",
-        "nodes[",
-        "raw `nodes[` arena indexing outside crates/tree",
+        "L008",
+        "pub fn diff_",
+        "public `diff_*` entry point outside the crates/core facade",
+        "crates/core/",
     ),
 ];
-
-/// Line lints that only apply outside `crates/core` — the `Differ` facade
-/// (and its compatibility shims) is the one sanctioned home for `diff_*`
-/// entry points; new ones elsewhere fragment the public API again.
-const NON_CORE_LINTS: &[(&str, &str, &str)] = &[(
-    "L008",
-    "pub fn diff_",
-    "public `diff_*` entry point outside the crates/core facade",
-)];
 
 /// 1-based char column of the first occurrence of `pattern` in `line`.
 fn pattern_col(line: &str, pattern: &str) -> usize {
@@ -65,18 +40,15 @@ fn pattern_col(line: &str, pattern: &str) -> usize {
     }
 }
 
-/// Runs the `L0xx` lints over one recovered file.
+/// Runs the `L005`/`L006`/`L008` lints over one recovered file.
 pub fn lint_file(model: &FileModel, findings: &mut Vec<Finding>) {
     let rel = model.rel.as_str();
-    let in_tree_crate = rel.starts_with("crates/tree/");
-    let in_core_crate = rel.starts_with("crates/core/");
-
     for (idx, line) in model.masked.lines().enumerate() {
         if model.test_lines.get(idx).copied().unwrap_or(false) {
             continue;
         }
-        for &(code, pattern, message) in LINE_LINTS {
-            if line.contains(pattern) {
+        for &(code, pattern, message, exempt) in LINE_LINTS {
+            if !rel.starts_with(exempt) && line.contains(pattern) {
                 findings.push(Finding {
                     path: rel.to_string(),
                     line: idx + 1,
@@ -84,32 +56,6 @@ pub fn lint_file(model: &FileModel, findings: &mut Vec<Finding>) {
                     code,
                     message: message.to_string(),
                 });
-            }
-        }
-        if !in_tree_crate {
-            for &(code, pattern, message) in NON_TREE_LINTS {
-                if line.contains(pattern) {
-                    findings.push(Finding {
-                        path: rel.to_string(),
-                        line: idx + 1,
-                        col: pattern_col(line, pattern),
-                        code,
-                        message: message.to_string(),
-                    });
-                }
-            }
-        }
-        if !in_core_crate {
-            for &(code, pattern, message) in NON_CORE_LINTS {
-                if line.contains(pattern) {
-                    findings.push(Finding {
-                        path: rel.to_string(),
-                        line: idx + 1,
-                        col: pattern_col(line, pattern),
-                        code,
-                        message: message.to_string(),
-                    });
-                }
             }
         }
     }
@@ -131,10 +77,18 @@ pub fn lint_file(model: &FileModel, findings: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::panics::panic_reachability;
+    use crate::resolve::CallGraph;
 
+    /// The source-level passes of `run_analysis` that report `L0xx` and
+    /// panic `S0xx` codes, over a one-file workspace.
     fn lint_str(rel: &str, src: &str) -> Vec<Finding> {
-        let mut findings = Vec::new();
-        lint_file(&FileModel::build(rel, src), &mut findings);
+        let files = [FileModel::build(rel, src)];
+        let mut waived = 0;
+        let mut findings = panic_reachability(&files, &CallGraph::build(&files), &mut waived);
+        for model in &files {
+            lint_file(model, &mut findings);
+        }
         findings
     }
 
@@ -145,6 +99,13 @@ mod tests {
         assert_eq!(f[0].code, "L001");
         assert_eq!(f[0].line, 1);
         assert_eq!(f[0].col, 11);
+    }
+
+    #[test]
+    fn reachable_unwrap_is_reported_once_as_s001() {
+        let f = lint_str("crates/core/src/differ.rs", "fn diff() { y.unwrap(); }\n");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].code, "S001");
     }
 
     #[test]
@@ -176,15 +137,6 @@ mod tests {
         let f = lint_str("crates/edit/src/x.rs", src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].code, "L006");
-    }
-
-    #[test]
-    fn raw_arena_indexing_flagged_outside_tree() {
-        let src = "fn f(&self) { let n = &self.nodes[i]; }\n";
-        assert!(lint_str("crates/tree/src/x.rs", src).is_empty());
-        let f = lint_str("crates/delta/src/x.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].code, "L007");
     }
 
     #[test]

@@ -1,5 +1,14 @@
-//! Panic-reachability (S001–S004): which panicking constructs are
-//! transitively reachable from the pipeline entrypoints.
+//! The panic-site scan (S001–S004, L001–L004): every panicking construct
+//! in non-test code is found once and reported once, under the code that
+//! says how far it reaches.
+//!
+//! | construct | reachable from an entrypoint | unreachable |
+//! |-----------|------------------------------|-------------|
+//! | `.unwrap()` | `S001` | `L001` |
+//! | `.expect(` | `S002` | `L002` |
+//! | `panic!` / `unreachable!` | `S003` | `L003` (`panic!` only) |
+//! | `todo!` / `unimplemented!` | `S003` | `L004` |
+//! | `expr[…]` indexing | `S004` | — |
 //!
 //! Reachability runs over the resolved call graph (see [`crate::resolve`]):
 //! bare calls resolve through same-file items and imports, path calls
@@ -16,26 +25,36 @@ use crate::report::Finding;
 use crate::resolve::{CallGraph, FnNode, KEYWORDS};
 
 /// The designated entrypoints: `(file suffix, fn name)`. The `Differ`
-/// facade, the batch workers, and the two CLI mains.
+/// facade (single and batch) and the two CLI mains.
 pub const ENTRYPOINTS: &[(&str, &str)] = &[
     ("crates/core/src/differ.rs", "diff"),
     ("crates/core/src/differ.rs", "diff_batch"),
     ("crates/core/src/differ.rs", "diff_batch_with"),
-    ("crates/core/src/batch.rs", "diff_batch"),
-    ("crates/core/src/batch.rs", "diff_batch_with"),
     ("crates/core/src/bin/treediff.rs", "main"),
     ("crates/doc/src/bin/ladiff.rs", "main"),
 ];
 
-const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented", "unreachable"];
+/// The panic-family macros with the `L0xx` code each carries when
+/// unreachable (`unreachable!` states an invariant, so it has none).
+const PANIC_MACROS: &[(&str, Option<&str>)] = &[
+    ("panic", Some("L003")),
+    ("todo", Some("L004")),
+    ("unimplemented", Some("L004")),
+    ("unreachable", None),
+];
 
-/// A panicking construct found in some function body.
+/// A panicking construct found in non-test code.
 struct PanicSite {
     file: usize,
-    fn_idx: usize,
+    /// The innermost enclosing fn; `None` outside any fn body (a `const`
+    /// initializer, say), which no entrypoint reaches.
+    fn_idx: Option<usize>,
     line: usize,
     col: usize,
-    code: &'static str,
+    /// The code when reachable from an entrypoint.
+    reached: &'static str,
+    /// The code when unreachable, if the construct has one.
+    unreached: Option<&'static str>,
     what: String,
 }
 
@@ -57,8 +76,9 @@ pub fn entry_roots(files: &[FileModel], entrypoints: &[(&str, &str)]) -> Vec<(Fn
     roots
 }
 
-/// Computes the panic-reachability findings over the workspace files,
-/// walking the pre-built resolved call graph. `waived` is incremented for
+/// Reports every panic site over the workspace files, walking the
+/// pre-built resolved call graph: a site an entrypoint reaches gets its
+/// `S0xx` code, any other its `L0xx` code. `waived` is incremented for
 /// sites suppressed by inline annotations.
 pub fn panic_reachability(
     files: &[FileModel],
@@ -77,30 +97,39 @@ pub fn panic_reachability(
     // ---- findings ----
     let mut findings = Vec::new();
     for site in sites {
-        let Some(entry) = reached.get(&(site.file, site.fn_idx)) else {
-            continue;
-        };
         let Some(model) = files.get(site.file) else {
             continue;
         };
-        if model.waived(site.line, site.code) {
+        let entry = site
+            .fn_idx
+            .and_then(|fn_idx| reached.get(&(site.file, fn_idx)));
+        let (code, message) = match (entry, site.unreached) {
+            (Some(entry), _) => {
+                let fn_name = site
+                    .fn_idx
+                    .and_then(|fn_idx| model.fns.get(fn_idx))
+                    .map_or("?", |f| f.name.as_str());
+                (
+                    site.reached,
+                    format!(
+                        "panicking `{}` in `{fn_name}`, reachable from entrypoint `{entry}`",
+                        site.what
+                    ),
+                )
+            }
+            (None, Some(code)) => (code, format!("`{}` in non-test library code", site.what)),
+            (None, None) => continue,
+        };
+        if model.waived(site.line, code) {
             *waived += 1;
             continue;
         }
-        let fn_name = model
-            .fns
-            .get(site.fn_idx)
-            .map(|f| f.name.as_str())
-            .unwrap_or("?");
         findings.push(Finding {
             path: model.rel.clone(),
             line: site.line,
             col: site.col,
-            code: site.code,
-            message: format!(
-                "panicking `{}` in `{}`, reachable from entrypoint `{}`",
-                site.what, fn_name, entry
-            ),
+            code,
+            message,
         });
     }
     findings
@@ -142,76 +171,42 @@ fn scan_file(fi: usize, model: &FileModel, sites: &mut Vec<PanicSite>) {
             s += 1;
             continue;
         };
-        let line = tok.line;
-        let col = tok.col;
-        if model.is_test_line(line) {
+        if model.is_test_line(tok.line) {
             s += 1;
             continue;
         }
-        let Some(fn_idx) = model.enclosing_fn(s) else {
-            s += 1;
-            continue;
-        };
 
-        // `.unwrap()` / `.expect(`
-        if model.punct(s, '.') && tok_is_ident(model, s + 1) {
-            if model.word(s + 1, "unwrap") && model.punct(s + 2, '(') && model.punct(s + 3, ')') {
-                push_site(sites, fi, fn_idx, model, s + 1, "S001", ".unwrap()");
-            } else if model.word(s + 1, "expect") && model.punct(s + 2, '(') {
-                push_site(sites, fi, fn_idx, model, s + 1, "S002", ".expect(…)");
-            }
-        }
-        // panic-family macros
-        if tok.kind == TokenKind::Ident && model.punct(s + 1, '!') {
+        let construct = if model.punct(s, '.')
+            && model.word(s + 1, "unwrap")
+            && model.punct(s + 2, '(')
+            && model.punct(s + 3, ')')
+        {
+            Some(("S001", Some("L001"), ".unwrap()".to_string()))
+        } else if model.punct(s, '.') && model.word(s + 1, "expect") && model.punct(s + 2, '(') {
+            Some(("S002", Some("L002"), ".expect(…)".to_string()))
+        } else if tok.kind == TokenKind::Ident && model.punct(s + 1, '!') {
             let text = model.lexed.text(tok);
-            if PANIC_MACROS.contains(&text.as_str()) {
-                sites.push(PanicSite {
-                    file: fi,
-                    fn_idx,
-                    line,
-                    col,
-                    code: "S003",
-                    what: format!("{text}!"),
-                });
-            }
-        }
-        // raw indexing `expr[…]`
-        if model.punct(s, '[') && is_index_expr_prefix(model, s) {
+            PANIC_MACROS
+                .iter()
+                .find(|(name, _)| *name == text)
+                .map(|&(_, lint)| ("S003", lint, format!("{text}!")))
+        } else if model.punct(s, '[') && is_index_expr_prefix(model, s) {
+            Some(("S004", None, "[…] indexing".to_string()))
+        } else {
+            None
+        };
+        if let Some((reached, unreached, what)) = construct {
             sites.push(PanicSite {
                 file: fi,
-                fn_idx,
-                line,
-                col,
-                code: "S004",
-                what: "[…] indexing".to_string(),
+                fn_idx: model.enclosing_fn(s),
+                line: tok.line,
+                col: tok.col,
+                reached,
+                unreached,
+                what,
             });
         }
         s += 1;
-    }
-}
-
-fn tok_is_ident(model: &FileModel, s: usize) -> bool {
-    model.tok(s).is_some_and(|t| t.kind == TokenKind::Ident)
-}
-
-fn push_site(
-    sites: &mut Vec<PanicSite>,
-    fi: usize,
-    fn_idx: usize,
-    model: &FileModel,
-    name_s: usize,
-    code: &'static str,
-    what: &str,
-) {
-    if let Some(t) = model.tok(name_s) {
-        sites.push(PanicSite {
-            file: fi,
-            fn_idx,
-            line: t.line,
-            col: t.col,
-            code,
-            what: what.to_string(),
-        });
     }
 }
 
@@ -248,6 +243,10 @@ mod tests {
         panic_reachability(files, &graph, waived)
     }
 
+    fn codes(findings: &[Finding]) -> Vec<&'static str> {
+        findings.iter().map(|f| f.code).collect()
+    }
+
     fn codes_at(findings: &[Finding]) -> Vec<(&'static str, String)> {
         findings.iter().map(|f| (f.code, f.path.clone())).collect()
     }
@@ -260,8 +259,7 @@ mod tests {
         )]);
         let mut waived = 0;
         let f = run(&files, &mut waived);
-        let codes: Vec<&str> = f.iter().map(|x| x.code).collect();
-        assert_eq!(codes, vec!["S001", "S004", "S003"]);
+        assert_eq!(codes(&f), vec!["S001", "S004", "S003"]);
         assert!(
             f[0].message.contains("entrypoint `diff`"),
             "{}",
@@ -285,14 +283,17 @@ mod tests {
         let f = run(&files, &mut waived);
         assert_eq!(
             codes_at(&f),
-            vec![("S002", "crates/edit/src/x.rs".to_string())]
+            vec![
+                ("S002", "crates/edit/src/x.rs".to_string()),
+                ("L001", "crates/edit/src/x.rs".to_string())
+            ]
         );
     }
 
     #[test]
     fn unimported_bare_calls_do_not_fan_out() {
         // Without an import, a bare `helper()` cannot name another crate's
-        // fn — the edge is dropped and the panic stays unreached.
+        // fn — the edge is dropped and the panic stays unreached (L002).
         let files = ws(&[
             ("crates/core/src/differ.rs", "fn diff() { helper(); }\n"),
             (
@@ -301,11 +302,11 @@ mod tests {
             ),
         ]);
         let mut waived = 0;
-        assert!(run(&files, &mut waived).is_empty());
+        assert_eq!(codes(&run(&files, &mut waived)), vec!["L002"]);
     }
 
     #[test]
-    fn unreachable_fns_are_not_reported() {
+    fn unreachable_fns_get_their_lint_code() {
         let files = ws(&[
             (
                 "crates/core/src/differ.rs",
@@ -314,7 +315,7 @@ mod tests {
             ("crates/edit/src/x.rs", "pub fn island() { q.unwrap(); }\n"),
         ]);
         let mut waived = 0;
-        assert!(run(&files, &mut waived).is_empty());
+        assert_eq!(codes(&run(&files, &mut waived)), vec!["L001"]);
     }
 
     #[test]
@@ -330,7 +331,7 @@ mod tests {
             ("crates/tree/src/y.rs", "pub fn helper() { q.unwrap(); }\n"),
         ]);
         let mut waived = 0;
-        assert!(run(&files, &mut waived).is_empty());
+        assert_eq!(codes(&run(&files, &mut waived)), vec!["L001"]);
     }
 
     #[test]
@@ -375,7 +376,7 @@ mod tests {
             ("crates/tree/src/x.rs", "pub fn replace() { q.unwrap(); }\n"),
         ]);
         let mut waived = 0;
-        assert!(run(&files, &mut waived).is_empty());
+        assert_eq!(codes(&run(&files, &mut waived)), vec!["L001"]);
     }
 
     #[test]
@@ -394,6 +395,33 @@ mod tests {
             ),
         ]);
         let mut waived = 0;
-        assert!(run(&files, &mut waived).is_empty());
+        assert_eq!(codes(&run(&files, &mut waived)), vec!["L001"]);
+    }
+
+    #[test]
+    fn unreachable_macro_and_indexing_have_no_lint_code() {
+        let files = ws(&[(
+            "crates/edit/src/x.rs",
+            "const K: u8 = Some(1).unwrap();\nfn f(v: &[u8]) -> u8 { if v[0] > 1 { unreachable!() } else { 0 } }\n",
+        )]);
+        let mut waived = 0;
+        // Outside any fn body nothing is reachable: the unwrap is L001.
+        assert_eq!(codes(&run(&files, &mut waived)), vec!["L001"]);
+    }
+
+    #[test]
+    fn every_entrypoint_names_a_workspace_fn() {
+        // crates/analyze -> crates -> repo root.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("repo root");
+        let ws = crate::workspace::load_workspace(root).expect("workspace loads");
+        for &entry in ENTRYPOINTS {
+            assert!(
+                !entry_roots(&ws.files, &[entry]).is_empty(),
+                "entrypoint {entry:?} names no non-test fn of the workspace"
+            );
+        }
     }
 }

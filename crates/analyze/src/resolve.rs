@@ -51,7 +51,6 @@ pub const EXTERNAL_ROOTS: &[&str] = &[
     "serde_json",
     "proptest",
     "criterion",
-    "crossbeam",
 ];
 
 /// The crate directory name of a `crates/<dir>/src/...` path.

@@ -1,5 +1,5 @@
-//! Workspace orchestration: file discovery under `crates/*/src`, the
-//! combined `S0xx` analysis, the `L0xx` lints, and API snapshot I/O.
+//! Workspace orchestration: file discovery under `crates/*/src`, the one
+//! `L0xx`/`S0xx` analysis run, and API snapshot I/O.
 
 use std::fs;
 use std::io;
@@ -113,19 +113,9 @@ pub fn load_workspace_threads(repo_root: &Path, threads: usize) -> io::Result<Wo
     })
 }
 
-/// Runs the `L0xx` lints over the workspace (the `xtask lint` engine).
-pub fn run_l_lints(repo_root: &Path) -> io::Result<Vec<Finding>> {
-    let ws = load_workspace(repo_root)?;
-    let mut findings = Vec::new();
-    for model in &ws.files {
-        lint_file(model, &mut findings);
-    }
-    Ok(findings)
-}
-
-/// The result of the `S0xx` analysis.
+/// The result of the `L0xx`/`S0xx` analysis.
 pub struct Analysis {
-    /// All findings (panic reachability, hot loops, API surface).
+    /// All findings (panic sites, lints, hot loops, API surface, …).
     pub findings: Vec<Finding>,
     /// Sites suppressed by inline `analyze: allow(…)` annotations.
     pub waived: usize,
@@ -136,9 +126,9 @@ pub struct Analysis {
     pub concurrency_nanos: u128,
 }
 
-/// Runs the full `S0xx` analysis: panic reachability (S001–S004),
-/// hot-loop discipline (S010/S011), API snapshot checks (S020/S021),
-/// guard coverage (S030/S031), arena discipline (S040–S042), and
+/// Runs the full analysis: panic sites (S001–S004 when reachable,
+/// L001–L004 when not), the L005/L006/L008 lints, hot-loop discipline
+/// (S010/S011), API snapshot checks (S020/S021), guard coverage (S030/S031), arena discipline (S040–S042), and
 /// concurrency discipline (S050–S055).
 pub fn run_analysis(repo_root: &Path) -> io::Result<Analysis> {
     run_analysis_threads(repo_root, 1)
@@ -151,6 +141,7 @@ pub fn run_analysis_threads(repo_root: &Path, threads: usize) -> io::Result<Anal
     let mut waived = 0usize;
     let mut findings = panic_reachability(&ws.files, &graph, &mut waived);
     for model in &ws.files {
+        lint_file(model, &mut findings);
         hot_loop_lints(model, &mut findings, &mut waived);
     }
     guard_coverage(&ws.files, &graph, &mut findings, &mut waived);

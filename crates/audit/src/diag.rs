@@ -9,8 +9,8 @@ use hierdiff_tree::{NodeId, NodeValue, Tree};
 ///
 /// `A0xx` codes are *artifact* checks — violations of the paper's formal
 /// invariants in a concrete matching, edit script, prune seed, or delta
-/// tree. (The companion `L0xx` *lint* codes are emitted by the `xtask`
-/// workspace linter over the source tree itself; they share this numbering
+/// tree. (The companion `L0xx`/`S0xx` *source* codes are emitted by
+/// `xtask analyze` over the source tree itself; they share this numbering
 /// scheme but not this enum.) Codes are append-only: a published code never
 /// changes meaning.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -15,8 +15,8 @@
 //! | `A030`–`A031` | [`audit_prune`] | prune seeds pair identical subtrees (§1, §5) |
 //! | `A040`–`A042` | [`audit_delta`] | delta trees project back to `T1`/`T2` (§6) |
 //!
-//! The companion `L0xx` lint codes are emitted by the `xtask` workspace
-//! linter over the *source tree*; this crate covers the *runtime
+//! The companion `L0xx`/`S0xx` source codes are emitted by `xtask
+//! analyze` over the *source tree*; this crate covers the *runtime
 //! artifacts*. Both families are catalogued in `DESIGN.md`.
 //!
 //! ```

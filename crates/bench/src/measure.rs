@@ -122,20 +122,20 @@ pub fn measure_pair(
 }
 
 /// Measures every `(i, j)` version pair of a chain concurrently (one
-/// thread per pair via crossbeam's scoped threads — measurements are
-/// independent and read-only). Results come back in `pairs` order.
+/// scoped thread per pair — measurements are independent and read-only).
+/// Results come back in `pairs` order.
 pub fn measure_pairs_parallel(
     versions: &[Tree<DocValue>],
     pairs: &[(usize, usize)],
     params: MatchParams,
     which: WhichMatcher,
 ) -> Vec<PairMeasurement> {
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = pairs
             .iter()
             .map(|&(i, j)| {
                 let (a, b) = (&versions[i], &versions[j]);
-                scope.spawn(move |_| measure_pair(a, b, params, which))
+                scope.spawn(move || measure_pair(a, b, params, which))
             })
             .collect();
         handles
@@ -143,7 +143,6 @@ pub fn measure_pairs_parallel(
             .map(|h| h.join().expect("measurement thread panicked"))
             .collect()
     })
-    .expect("crossbeam scope")
 }
 
 /// Ordinary least squares fit `y ≈ a + b·x`; returns `(a, b, r²)`.

@@ -3,12 +3,12 @@
 //! snapshot pairs from "uncooperative legacy databases"). Pairs are
 //! independent, so they diff concurrently.
 //!
-//! Scheduling is **work-stealing**: each worker owns a deque seeded with a
-//! contiguous block of pairs and steals from its siblings when its own
-//! block runs dry. Unlike the static `i % workers` assignment this
-//! replaces, a skewed batch (a few giant pairs among many small ones)
-//! cannot strand one worker with all the heavy work while the rest idle —
-//! idle workers pull the excess over. [`BatchReport`] exposes per-worker
+//! Scheduling is **work-stealing**: each worker owns a contiguous block of
+//! pairs, claimed front to back through an atomic cursor, and claims from
+//! its siblings' cursors when its own block runs dry. Unlike the static
+//! `i % workers` assignment this replaces, a skewed batch (a few giant
+//! pairs among many small ones) cannot strand one worker with all the
+//! heavy work while the rest idle — idle workers pull the excess over. [`BatchReport`] exposes per-worker
 //! completion/steal counts and busy-time utilization so the rebalancing is
 //! observable, and — with [`Differ::profile`](crate::Differ::profile) — per-worker
 //! [`DiffProfile`]s whose phase timings and paper-cost counters aggregate
@@ -20,10 +20,10 @@
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::{Steal, Stealer, Worker};
 use hierdiff_guard::RetryPolicy;
 use hierdiff_obs::{CounterSample, DiffProfile, Recorder};
 use hierdiff_tree::{NodeValue, Tree};
@@ -80,7 +80,7 @@ impl BatchOptions {
 pub struct WorkerStats {
     /// Pairs this worker completed.
     pub completed: usize,
-    /// Of those, pairs stolen from another worker's deque.
+    /// Of those, pairs stolen from another worker's block.
     pub stolen: usize,
     /// Time spent diffing (as opposed to looking for work).
     pub busy: Duration,
@@ -235,31 +235,32 @@ where
     }
 
     let workers = worker_count(options.workers, pairs.len());
-    // Seed each deque with a contiguous block of the input: the owner
-    // drains it front-to-back, thieves take from the front of the heaviest
-    // remainder.
-    let deques: Vec<Worker<usize>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-    for (i, _) in pairs.iter().enumerate() {
-        deques[i * workers / pairs.len()].push(i);
-    }
-    let stealers: Vec<Stealer<usize>> = deques.iter().map(Worker::stealer).collect();
+    // Worker `w` owns the contiguous block of pairs `i` with
+    // `i * workers / pairs.len() == w`. Owner and thieves alike claim
+    // from the front of a block.
+    let blocks: Vec<Block> = (0..workers)
+        .map(|w| Block {
+            next: AtomicUsize::new((w * pairs.len()).div_ceil(workers)),
+            end: ((w + 1) * pairs.len()).div_ceil(workers),
+        })
+        .collect();
 
     let start = Instant::now();
     let mut report = BatchReport::default();
     let outcomes: Vec<(WorkerStats, Option<DiffProfile>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = deques
-            .into_iter()
+        let handles: Vec<_> = blocks
+            .iter()
             .enumerate()
             .map(|(me, local)| {
-                let stealers = &stealers;
+                let blocks = &blocks;
                 let state = &state;
                 scope.spawn(move || {
                     let mut stats = WorkerStats::default();
                     let mut recorder = options.profile.then(Recorder::new);
                     loop {
-                        let (i, stolen) = match local.pop() {
+                        let (i, stolen) = match local.claim() {
                             Some(i) => (i, false),
-                            None => match steal_any(stealers, me) {
+                            None => match steal_any(blocks, me) {
                                 Some(i) => (i, true),
                                 None => break,
                             },
@@ -402,25 +403,29 @@ pub(crate) fn diff_batch_run<V: NodeValue + Send + Sync>(
     BatchRun { results, report }
 }
 
-/// One round-robin steal attempt over every sibling deque.
-fn steal_any(stealers: &[Stealer<usize>], me: usize) -> Option<usize> {
-    // Retry while any sibling reports a racy `Steal::Retry`.
-    loop {
-        let mut retry = false;
-        for (w, stealer) in stealers.iter().enumerate() {
-            if w == me {
-                continue;
-            }
-            match stealer.steal() {
-                Steal::Success(i) => return Some(i),
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-        }
-        if !retry {
-            return None;
-        }
+/// One worker's block of pair indexes `[next, end)`.
+struct Block {
+    next: AtomicUsize,
+    end: usize,
+}
+
+impl Block {
+    /// Claims the block's next unclaimed index. Each index is handed out
+    /// once: `fetch_add` is atomic under any ordering, and the pairs the
+    /// index names are read-only.
+    fn claim(&self) -> Option<usize> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.end).then_some(i)
     }
+}
+
+/// One round-robin steal attempt over every sibling block.
+fn steal_any(blocks: &[Block], me: usize) -> Option<usize> {
+    blocks
+        .iter()
+        .enumerate()
+        .filter(|&(w, _)| w != me)
+        .find_map(|(_, block)| block.claim())
 }
 
 #[cfg(test)]

@@ -119,7 +119,7 @@ pub struct DeltaTree<V> {
 
 impl<V: NodeValue> DeltaTree<V> {
     /// The single raw-indexing point into the arena; every accessor below
-    /// goes through it (keeps `L007` confined to one spot).
+    /// goes through it (keeps `S004` confined to one spot).
     fn node(&self, id: DeltaNodeId) -> &DeltaNode<V> {
         let arena: &[DeltaNode<V>] = &self.nodes;
         &arena[id.index()]

@@ -476,6 +476,10 @@ impl Syntax for Markdown {
 
     fn block_open(&self, out: &mut String, item: bool, list_depth: usize, change: &Change) {
         let _ = if item {
+            // A nested list starts on its own line, not its parent item's.
+            if !out.is_empty() && !out.ends_with('\n') {
+                out.push('\n');
+            }
             for _ in 1..list_depth {
                 out.push_str("  ");
             }
@@ -791,6 +795,21 @@ mod tests {
         );
         assert!(out.contains("- **[new]** **third point added**"), "{out}");
         assert!(out.contains("- first point stays"), "{out}");
+    }
+
+    #[test]
+    fn nested_list_starts_on_its_own_line() {
+        let list = |nested: &str| {
+            format!(
+                "\\begin{{itemize}}\n\\item First point stays here.\n\\item {nested}\n\
+                 \\begin{{itemize}}\n\\item Nested one stays here.\n\\end{{itemize}}\n\\end{{itemize}}"
+            )
+        };
+        let t1 = parse_latex(&list("Parent point stays here."));
+        let t2 = parse_latex(&list("Parent point is new now."));
+        let out = diff_trees(t1, t2, &LaDiffOptions::default()).unwrap();
+        let md = render_markdown(&out.delta);
+        assert!(md.contains("\n  - Nested one stays here."), "{md}");
     }
 
     #[test]

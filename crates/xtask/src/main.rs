@@ -1,16 +1,15 @@
 //! Workspace automation tasks (`cargo run -p xtask -- <task>`).
 //!
-//! * `lint` — the `L0xx` source lints over `crates/*/src`, with a
-//!   checked-in burn-down allowlist at `crates/xtask/lint-allow.txt`.
-//! * `analyze` — the `S0xx` token-level analyzer: panic reachability from
-//!   the pipeline entrypoints, hot-loop and guard-coverage discipline,
-//!   arena discipline in `crates/tree`, and public-API surface snapshots
-//!   under `api/`, with its own allowlist at
+//! * `analyze` — the one source checker over `crates/*/src`: every panic
+//!   site (S001–S004 when a pipeline entrypoint reaches it, L001–L004
+//!   when none does), the L005/L006/L008 lints, hot-loop, guard-coverage,
+//!   arena and concurrency discipline, and public-API surface snapshots
+//!   under `api/`, against one burn-down allowlist at
 //!   `crates/xtask/analyze-allow.txt`.
-//! * `ratchet` — ceilings over both allowlists (total and per code) in
-//!   `crates/xtask/ratchet.txt`; the burn-down lists may only shrink.
+//! * `ratchet` — ceilings over that allowlist (total and per code) in
+//!   `crates/xtask/ratchet.txt`; the burn-down list may only shrink.
 //!
-//! Both engines live in `hierdiff-analyze`; this binary is argument
+//! The engine lives in `hierdiff-analyze`; this binary is argument
 //! parsing and file I/O. See DESIGN.md ("Diagnostics & static analysis")
 //! for how the `L0xx`/`S0xx` codes relate to the runtime `A0xx` audit
 //! codes.
@@ -25,24 +24,22 @@ use hierdiff_analyze as analyze;
 
 const USAGE: &str = "usage: cargo run -p xtask -- <task>\n\
 \n\
-  lint                 run the L0xx source lints over crates/*/src and\n\
-                       compare against crates/xtask/lint-allow.txt; new\n\
-                       offences and stale allowlist entries both fail\n\
-  lint --write-allowlist   rewrite the allowlist from the current findings\n\
-                           (for intentional burn-down updates only)\n\
-  analyze              run the S0xx analyzer (panic reachability, hot-loop\n\
-                       discipline, API surface) and compare against\n\
-                       crates/xtask/analyze-allow.txt\n\
+  analyze              run the L0xx/S0xx analyzer over crates/*/src (panic\n\
+                       sites, lints, hot loops, guard coverage, arenas,\n\
+                       concurrency, API surface) and compare against\n\
+                       crates/xtask/analyze-allow.txt; new offences and\n\
+                       stale allowlist entries both fail\n\
   analyze --json PATH      additionally write the JSON report to PATH\n\
   analyze --check-api      only check api/*.txt snapshots for drift\n\
   analyze --write-api      regenerate api/*.txt from the current sources\n\
-  analyze --write-allowlist    rewrite the analyzer allowlist\n\
+  analyze --write-allowlist    rewrite the allowlist from the current findings\n\
+                               (for intentional burn-down updates only)\n\
   analyze --bench PATH     time the analyzer at 1/2/4 loader threads and\n\
                            write the medians (total and concurrency-pass\n\
                            wall time) to PATH as JSON\n\
   analyze --lock-graph PATH    write the serve/guard lock acquisition-order\n\
                                graph (S050) to PATH as Graphviz DOT\n\
-  ratchet              check both allowlists against the ceilings recorded\n\
+  ratchet              check the allowlist against the ceilings recorded\n\
                        in crates/xtask/ratchet.txt; growth and stale\n\
                        ceiling keys both fail\n\
   ratchet --write          record the current (smaller) counts as the new\n\
@@ -115,29 +112,6 @@ fn report_verdict(task: &str, verdict: &analyze::Verdict, allowed_total: usize) 
     verdict.ok()
 }
 
-fn run_lint(write: bool) -> Result<bool, String> {
-    let root = repo_root();
-    let findings = analyze::run_l_lints(&root).map_err(|e| format!("scanning sources: {e}"))?;
-    let allowlist_path = root.join("crates/xtask/lint-allow.txt");
-
-    if write {
-        write_allowlist_file(
-            &root,
-            "crates/xtask/lint-allow.txt",
-            findings,
-            "Known L0xx offences, one `<path> <CODE>` line per offence.\n\
-             This list is a burn-down: entries may only be removed (fixing the\n\
-             offence), never added. Stale entries fail `cargo run -p xtask -- lint`.",
-        )?;
-        return Ok(true);
-    }
-
-    let allowed = load_allowlist(&allowlist_path)?;
-    let allowed_total: usize = allowed.values().sum();
-    let verdict = analyze::judge(findings, &allowed);
-    Ok(report_verdict("lint", &verdict, allowed_total))
-}
-
 /// What `analyze` should do, parsed from its flags.
 enum AnalyzeMode {
     Check { json: Option<PathBuf> },
@@ -181,9 +155,9 @@ fn run_analyze(mode: AnalyzeMode) -> Result<bool, String> {
                 analyze::run_analysis(&root).map_err(|e| format!("analyzing sources: {e}"))?;
             write_allowlist_file(
                 &root,
-                "crates/xtask/analyze-allow.txt",
+                ALLOWLIST,
                 analysis.findings,
-                "Known S0xx offences, one `<path> <CODE>` line per offence.\n\
+                "Known L0xx and S0xx offences, one `<path> <CODE>` line per offence.\n\
                  This list is a burn-down: entries may only be removed (fixing the\n\
                  offence), never added. Stale entries fail `cargo run -p xtask -- analyze`.",
             )?;
@@ -217,7 +191,7 @@ fn run_analyze(mode: AnalyzeMode) -> Result<bool, String> {
                 ));
             }
             let rendered = format!(
-                "{{\n  \"bench\": \"S0xx analyzer wall time over the workspace\",\n  \"runs\": {RUNS},\n  \"points\": [\n{}\n  ]\n}}\n",
+                "{{\n  \"bench\": \"L0xx/S0xx analyzer wall time over the workspace\",\n  \"runs\": {RUNS},\n  \"points\": [\n{}\n  ]\n}}\n",
                 points.join(",\n")
             );
             std::fs::write(&json, rendered).map_err(|e| format!("{}: {e}", json.display()))?;
@@ -242,8 +216,7 @@ fn run_analyze(mode: AnalyzeMode) -> Result<bool, String> {
         AnalyzeMode::Check { json } => {
             let analysis =
                 analyze::run_analysis(&root).map_err(|e| format!("analyzing sources: {e}"))?;
-            let allowlist_path = root.join("crates/xtask/analyze-allow.txt");
-            let allowed = load_allowlist(&allowlist_path)?;
+            let allowed = load_allowlist(&root.join(ALLOWLIST))?;
             let allowed_total: usize = allowed.values().sum();
             if let Some(json_path) = json {
                 let rendered =
@@ -262,28 +235,25 @@ fn run_analyze(mode: AnalyzeMode) -> Result<bool, String> {
     }
 }
 
-/// The allowlists governed by the ratchet, as `(key, path)` pairs.
-const RATCHET_LISTS: &[(&str, &str)] = &[
-    ("analyze-allow", "crates/xtask/analyze-allow.txt"),
-    ("lint-allow", "crates/xtask/lint-allow.txt"),
-];
+/// The one burn-down allowlist, shared by every `L0xx`/`S0xx` code.
+const ALLOWLIST: &str = "crates/xtask/analyze-allow.txt";
+
+/// The allowlist's key in `ratchet.txt`.
+const RATCHET_KEY: &str = "analyze-allow";
 
 const RATCHET_FILE: &str = "crates/xtask/ratchet.txt";
 
-/// Current allowlist sizes keyed `<list>` (total) and `<list>:<CODE>`
-/// (per-code breakdown). Totals are always present, even at zero, so a
-/// fully burned-down list still gets a `0` ceiling on `--write`.
+/// Current allowlist size keyed `analyze-allow` (total) and
+/// `analyze-allow:<CODE>` (per-code breakdown). The total is always
+/// present, even at zero, so a fully burned-down list still gets a `0`
+/// ceiling on `--write`.
 fn ratchet_counts(root: &Path) -> Result<BTreeMap<String, usize>, String> {
     let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-    for (key, rel) in RATCHET_LISTS {
-        let allowed = load_allowlist(&root.join(rel))?;
-        let mut total = 0usize;
-        for ((_path, code), n) in &allowed {
-            total += n;
-            *counts.entry(format!("{key}:{code}")).or_insert(0) += n;
-        }
-        counts.insert((*key).to_string(), total);
+    let allowed = load_allowlist(&root.join(ALLOWLIST))?;
+    for ((_path, code), n) in &allowed {
+        *counts.entry(format!("{RATCHET_KEY}:{code}")).or_insert(0) += n;
     }
+    counts.insert(RATCHET_KEY.to_string(), allowed.values().sum());
     Ok(counts)
 }
 
@@ -309,10 +279,10 @@ fn parse_ratchet(text: &str) -> BTreeMap<String, usize> {
 
 fn render_ratchet(counts: &BTreeMap<String, usize>) -> String {
     let mut out = String::from(
-        "# Allowlist ratchet: ceilings on the burn-down allowlists, one total\n\
-         # per list plus per-code breakdowns. `cargo run -p xtask -- ratchet`\n\
-         # fails when any current count exceeds its ceiling — the lists may\n\
-         # only shrink. After burning entries down, record the progress with\n\
+        "# Allowlist ratchet: ceilings on the burn-down allowlist, one total\n\
+         # plus per-code breakdowns. `cargo run -p xtask -- ratchet` fails\n\
+         # when any current count exceeds its ceiling — the list may only\n\
+         # shrink. After burning entries down, record the progress with\n\
          # `cargo run -p xtask -- ratchet --write`, which refuses to raise a\n\
          # ceiling.\n",
     );
@@ -323,7 +293,7 @@ fn render_ratchet(counts: &BTreeMap<String, usize>) -> String {
 }
 
 /// Ceiling keys with no corresponding current count: per-code keys whose
-/// last offence was burned down, or keys for retired lists. Totals are
+/// last offence was burned down, or keys for retired lists. The total is
 /// always present in `counts` (even at zero), so any leftover key is
 /// genuinely stale.
 fn stale_ceilings(
@@ -390,7 +360,7 @@ fn run_ratchet(write: bool) -> Result<bool, String> {
             Some(&c) if n <= c => slack += c - n,
             Some(&c) => {
                 println!(
-                    "ratchet: `{key}` grew to {n} (ceiling {c}) — allowlists \
+                    "ratchet: `{key}` grew to {n} (ceiling {c}) — the allowlist \
                      may only shrink; fix the offence or carry an inline waiver"
                 );
                 ok = false;
@@ -430,8 +400,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
     let ok = match args.as_slice() {
-        ["lint"] => run_lint(false),
-        ["lint", "--write-allowlist"] => run_lint(true),
         ["analyze"] => run_analyze(AnalyzeMode::Check { json: None }),
         ["analyze", "--json", path] => run_analyze(AnalyzeMode::Check {
             json: Some(PathBuf::from(path)),
@@ -495,8 +463,8 @@ mod tests {
         let current = counts(&[("analyze-allow", 1), ("analyze-allow:S002", 1)]);
         assert!(stale_ceilings(&current, &current).is_empty());
         // A fully burned list keeps its zero total — not stale.
-        let zeroed = counts(&[("lint-allow", 0)]);
-        assert!(stale_ceilings(&zeroed, &counts(&[("lint-allow", 3)])).is_empty());
+        let zeroed = counts(&[("analyze-allow", 0)]);
+        assert!(stale_ceilings(&zeroed, &counts(&[("analyze-allow", 3)])).is_empty());
     }
 
     #[test]
