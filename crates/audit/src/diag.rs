@@ -30,6 +30,7 @@ pub enum Code {
     A022,
     A023,
     A024,
+    A025,
     A030,
     A031,
     A040,
@@ -55,6 +56,7 @@ impl Code {
             Code::A022 => "A022",
             Code::A023 => "A023",
             Code::A024 => "A024",
+            Code::A025 => "A025",
             Code::A030 => "A030",
             Code::A031 => "A031",
             Code::A040 => "A040",
@@ -80,6 +82,7 @@ impl Code {
             Code::A022 => "script deletes a matched node",
             Code::A023 => "recorded stats disagree with script",
             Code::A024 => "total matching does not extend input matching",
+            Code::A025 => "script op counts differ from the closed form for its matching",
             Code::A030 => "pruned pair not identical",
             Code::A031 => "pruned pair dropped by a later stage",
             Code::A040 => "delta new-projection differs from T2",
@@ -97,6 +100,7 @@ impl Code {
             Code::A020 | Code::A021 => "§3.2, Fig. 8/9",
             Code::A022 | Code::A024 => "§3.1 (conformance M' ⊇ M)",
             Code::A023 => "§3.2 / §5.3 (cost model)",
+            Code::A025 => "Lemma C.1 / Thm. C.2 (minimality)",
             Code::A030 | Code::A031 => "§1 (unchanged-fragment pruning) / §5 Criterion 3",
             Code::A040 | Code::A041 | Code::A042 => "§6 (delta trees)",
         }

@@ -11,7 +11,7 @@
 //! |-------|---------|---------------------|
 //! | `A001`–`A004` | [`audit_tree`] | arena well-formedness (§3.1) |
 //! | `A010`–`A014` | [`audit_matching`] / [`audit_pairs`] | matchings are one-to-one, label-preserving, ancestor-order (§3.1, Lemma C.1) |
-//! | `A020`–`A024` | [`audit_script`] | edit-script conformance and replay (§3.2, Figs. 8/9) |
+//! | `A020`–`A025` | [`audit_script`] | edit-script conformance, replay (§3.2, Figs. 8/9) and minimality (Lemma C.1) |
 //! | `A030`–`A031` | [`audit_prune`] | prune seeds pair identical subtrees (§1, §5) |
 //! | `A040`–`A042` | [`audit_delta`] | delta trees project back to `T1`/`T2` (§6) |
 //!

@@ -582,7 +582,7 @@ pub fn accuracy() -> String {
 
 /// Extension sweep — the `A(k)` parameterized-optimality matcher of the
 /// paper's Section 9 future work (FastMatch, post-processed for `k ≥ 1`,
-/// refined by bounded ZS recovery of [`zs_budget`]`(k)` nodes for
+/// refined by bounded ZS recovery of [`zs_budget`](hierdiff_core::zs_budget)`(k)` nodes for
 /// `k ≥ 2`): script cost and matching quality vs the ZS-optimal mapping
 /// as `k` grows, on a duplicate-heavy corpus where FastMatch alone is
 /// sub-optimal. The time column covers the whole pipeline (matching and

@@ -50,7 +50,7 @@
 //! Observability: attach a [`hierdiff_obs::PipelineObserver`] with
 //! [`Differ::observer`] to receive phase spans and paper-cost work
 //! counters, or call [`Differ::profile`] to get a structured
-//! [`DiffProfile`](hierdiff_obs::DiffProfile) on the result.
+//! [`DiffProfile`] on the result.
 //!
 //! For structured *documents* (LaTeX/HTML text in, marked-up text out), use
 //! the `hierdiff-doc` crate's `ladiff` pipeline, which layers parsing and

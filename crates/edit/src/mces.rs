@@ -18,6 +18,17 @@
 //! Running time is `O(ND)` where `N` is the total node count and `D` the
 //! number of misaligned nodes (Theorem C.2).
 //!
+//! ## Anchors
+//!
+//! The matching's [anchors](Matching::anchors) are isomorphic subtree
+//! pairs matched in parallel preorder, so nothing inside one needs an
+//! edit. The breadth-first scan visits each anchor root (it may still need
+//! an inter-parent move) but neither aligns its children nor descends
+//! below it, and the delete scan skips anchored subtrees of `T1`. The
+//! script is the one the full walk writes; only
+//! [`McesStats::lcs_cells`] shrinks, since it counts *AlignChildren*
+//! work on unanchored parents only.
+//!
 //! ## Position semantics
 //!
 //! The paper's *FindPos* returns a 1-based ordinal *among in-order children*.
@@ -37,6 +48,7 @@ use std::fmt;
 
 use hierdiff_guard::{Budget, Guard, GuardError};
 use hierdiff_lcs::{lcs_myers, LcsStats};
+use hierdiff_tree::traverse::{bfs_stopping_at, postorder_stopping_at};
 use hierdiff_tree::{isomorphic, Label, NodeId, NodeValue, Tree};
 
 use crate::matching::Matching;
@@ -152,7 +164,8 @@ pub struct McesStats {
     /// intra-parent move).
     pub misaligned_parents: usize,
     /// Myers LCS `(d, k)` inner-loop iterations across *AlignChildren*'s
-    /// `LCS` calls — the O(ND) work units of Section 4.2.
+    /// `LCS` calls — the O(ND) work units of Section 4.2. Anchor roots and
+    /// their interiors are never aligned, so they add none.
     pub lcs_cells: u64,
 }
 
@@ -343,9 +356,16 @@ impl<V: NodeValue> Generator<'_, V> {
         self.set_ord1(r1, true);
         self.set_ord2(self.t2.root(), true);
 
+        // Inside an anchor the subtrees are isomorphic and paired in
+        // parallel preorder, so no node below an anchor root can need an
+        // edit: both scans visit anchor roots but not their interiors.
+        let (stop1, stop2) = self
+            .m
+            .anchor_root_masks(self.work.arena_len(), self.t2.arena_len());
+
         // Phase 1 of Figure 8: breadth-first scan of T2 combining the
         // update, insert, align, and move phases.
-        let bfs: Vec<NodeId> = self.t2.bfs().collect();
+        let bfs: Vec<NodeId> = bfs_stopping_at(self.t2, self.t2.root(), &stop2).collect();
         for x in bfs {
             self.guard.tick()?;
             let w = if x == self.t2.root() {
@@ -372,11 +392,15 @@ impl<V: NodeValue> Generator<'_, V> {
                     }
                 }
             };
-            self.align_children(w, x)?;
+            // An anchor root's children are matched in order already.
+            if !stop2.get(x.index()).copied().unwrap_or(false) {
+                self.align_children(w, x)?;
+            }
         }
 
         // Phase 3 of Figure 8: post-order delete of unmatched T1 nodes.
-        let postorder: Vec<NodeId> = self.work.postorder().collect();
+        let postorder: Vec<NodeId> =
+            postorder_stopping_at(&self.work, self.work.root(), &stop1).collect();
         for w in postorder {
             self.guard.tick()?;
             if self.m.partner1(w).is_none() {

@@ -141,6 +141,7 @@ impl<V: NodeValue> EditScript<V> {
     pub fn op_counts(&self) -> OpCounts {
         let mut c = OpCounts::default();
         for op in &self.ops {
+            // analyze: allow(S031) one pass over a script already built
             match op {
                 EditOp::Insert { .. } => c.inserts += 1,
                 EditOp::Delete { .. } => c.deletes += 1,

@@ -290,7 +290,7 @@ impl Guard {
     }
 
     /// Strided [`checkpoint`](Guard::checkpoint) for per-item hot loops:
-    /// runs the real check every [`TICK_STRIDE`]th call, costs one `Cell`
+    /// runs the real check every `TICK_STRIDE`th (256th) call, costs one `Cell`
     /// increment otherwise. Inactive guards short-circuit entirely.
     ///
     /// Inlined so the common case folds into the caller's loop; ticks are

@@ -11,7 +11,7 @@ use hierdiff_tree::{NodeId, NodeValue, Tree};
 use crate::criteria::{MatchCtx, MatchParams};
 use crate::error::MatchError;
 use crate::schema::LabelClasses;
-use crate::simple::{label_chains, MatchResult};
+use crate::simple::{chain, label_chains, MatchResult};
 
 /// Default candidate window for [`bounded_greedy_match`]: how many
 /// unmatched opposite-chain nodes each node may be compared against.
@@ -63,19 +63,18 @@ pub fn bounded_greedy_match<V: NodeValue>(
     let classes = LabelClasses::classify(t1, t2, guard)?;
     let mut ctx = MatchCtx::new(t1, t2, params, &classes);
     let mut m = seed;
-    let chains1 = label_chains(t1);
-    let chains2 = label_chains(t2);
+    let chains1 = label_chains(t1, &[]);
+    let chains2 = label_chains(t2, &[]);
     let window = window.max(1);
 
-    let empty: Vec<NodeId> = Vec::new();
     for (phase, phase_labels) in [&classes.leaf_labels, &classes.internal_labels]
         .into_iter()
         .enumerate()
     {
         let is_leaf_phase = phase == 0;
         for &label in phase_labels {
-            let s1 = chains1.get(&label).unwrap_or(&empty);
-            let s2 = chains2.get(&label).unwrap_or(&empty);
+            let s1 = chain(&chains1, label);
+            let s2 = chain(&chains2, label);
             if s1.is_empty() || s2.is_empty() {
                 continue;
             }

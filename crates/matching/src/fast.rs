@@ -17,7 +17,7 @@ use hierdiff_tree::{NodeId, NodeValue, Tree};
 use crate::criteria::{MatchCtx, MatchParams};
 use crate::error::MatchError;
 use crate::schema::LabelClasses;
-use crate::simple::{label_chains, MatchResult};
+use crate::simple::{chain, label_chains, MatchResult};
 
 /// Algorithm *FastMatch* (Figure 11).
 ///
@@ -72,13 +72,14 @@ pub fn fast_match_seeded_guarded<V: NodeValue>(
     guard.checkpoint()?;
     let mut ctx = MatchCtx::new(t1, t2, params, &classes);
     guard.checkpoint()?;
+    // Anchored interiors are matched, so the chains need not enter them.
+    let (stop1, stop2) = seed.anchor_root_masks(t1.arena_len(), t2.arena_len());
     let mut m = seed;
-    let chains1 = label_chains(t1);
+    let chains1 = label_chains(t1, &stop1);
     guard.checkpoint()?;
-    let chains2 = label_chains(t2);
+    let chains2 = label_chains(t2, &stop2);
     guard.checkpoint()?;
 
-    let empty: Vec<NodeId> = Vec::new();
     // The filtered-chain buffers live outside the per-label loop: one
     // allocation pair for the whole run (hot-loop discipline — the loop
     // body itself must stay allocation-free).
@@ -98,14 +99,14 @@ pub fn fast_match_seeded_guarded<V: NodeValue>(
             // chain: a mostly-matched chain otherwise has no common elements
             // left, driving D to l1+l2 and the LCS to quadratic.)
             s1.clear();
-            for &x in chains1.get(&label).unwrap_or(&empty) {
+            for &x in chain(&chains1, label) {
                 guard.tick()?;
                 if !m.is_matched1(x) {
                     s1.push(x);
                 }
             }
             s2.clear();
-            for &y in chains2.get(&label).unwrap_or(&empty) {
+            for &y in chain(&chains2, label) {
                 guard.tick()?;
                 if !m.is_matched2(y) {
                     s2.push(y);

@@ -27,10 +27,9 @@
 
 use std::collections::HashSet;
 
-use hierdiff_edit::Matching;
+use hierdiff_edit::{Matching, MatchingError};
 use hierdiff_guard::Guard;
-use hierdiff_tree::traverse::preorder_of;
-use hierdiff_tree::{isomorphic_subtrees, FingerprintIndex, NodeId, NodeValue, Tree};
+use hierdiff_tree::{FingerprintIndex, NodeId, NodeValue, Tree};
 
 use crate::error::MatchError;
 
@@ -56,7 +55,7 @@ pub struct PruneStats {
 /// tree and isomorphism verification confirms the pair. Scanning `t1`'s
 /// nodes tallest-first makes accepted subtrees maximal: once a subtree is
 /// matched, its whole interior is paired node-by-node and skipped. The
-/// guard is ticked per scanned and per paired node, so budgets and
+/// guard is ticked per scanned node and per candidate, so budgets and
 /// cancellation surface as [`MatchError::Guard`].
 pub fn prune_identical<V: NodeValue>(
     t1: &Tree<V>,
@@ -116,7 +115,9 @@ pub(crate) struct Anchors {
 /// The tallest-first order guarantees that when a candidate is reached
 /// unmatched, its whole interior is unmatched too (only taller nodes —
 /// its ancestors, none matched, or disjoint subtrees — were processed
-/// before it), so wholesale pairing cannot collide.
+/// before it), so wholesale pairing cannot collide. Each accepted pair is
+/// recorded with [`Matching::insert_anchor`], so the result carries its
+/// anchor list to FastMatch and *EditScript*.
 pub(crate) fn anchor_identical<V: NodeValue>(
     t1: &Tree<V>,
     idx1: &FingerprintIndex,
@@ -167,18 +168,18 @@ pub(crate) fn anchor_identical<V: NodeValue>(
                 continue; // claimed by a colliding chain processed earlier
             }
             stats.candidates += 1;
-            if !isomorphic_subtrees(t1, a, t2, b) {
-                stats.collisions += 1;
-                continue;
+            match m.insert_anchor(t1, a, t2, b) {
+                Ok(pairs) => {
+                    stats.nodes_pruned += pairs;
+                    stats.subtrees_pruned += 1;
+                }
+                Err(MatchingError::NotIsomorphic(..)) => stats.collisions += 1,
+                Err(_) => {
+                    return Err(MatchError::Internal(
+                        "anchored subtree pair already matched",
+                    ))
+                }
             }
-            // Identical shapes: parallel pre-orders line up node-by-node.
-            for (p, q) in preorder_of(t1, a).zip(preorder_of(t2, b)) {
-                guard.tick()?;
-                m.insert(p, q)
-                    .map_err(|_| MatchError::Internal("anchored subtree pair already matched"))?;
-                stats.nodes_pruned += 1;
-            }
-            stats.subtrees_pruned += 1;
         }
     }
     Ok(Anchors {

@@ -83,7 +83,7 @@ pub struct RecoveryStats {
 /// order, run the exact Zhang–Shasha mapping when both subtrees have at
 /// most `max_recovery_size` nodes (`0` disables this) and still contain
 /// unmatched nodes, and adopt each label-equal pair whose endpoints are
-/// both unmatched — `[Zha95]`'s "post-processing the output of [ZS89]",
+/// both unmatched — `[Zha95]`'s "post-processing the output of \[ZS89\]",
 /// applied locally where the quadratic ZS is affordable. LCS-cell
 /// exhaustion truncates ([`RecoveryStats::truncated`]); other guard trips
 /// fail with [`MatchError::Guard`].

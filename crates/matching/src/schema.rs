@@ -16,28 +16,22 @@ use std::collections::HashMap;
 use std::fmt;
 
 use hierdiff_guard::{Guard, GuardError};
-use hierdiff_tree::{Label, NodeValue, Tree};
+use hierdiff_tree::{Label, NodeId, NodeValue, Tree};
 
 use crate::error::MatchError;
 
-/// The blessed dense-height funnel: `heights` is sized to `arena_len()`
-/// and every id comes from the same tree's traversal.
+/// The blessed dense-table funnel: every per-node table is sized to its
+/// tree's `arena_len()` and every per-label table to one past the largest
+/// label index seen, and ids and labels come from the same trees.
 #[inline(always)]
-fn height_of(heights: &[usize], idx: usize) -> usize {
-    heights[idx] // analyze: allow(S004) the blessed funnel
+fn at<T: Copy>(table: &[T], idx: usize) -> T {
+    table[idx] // analyze: allow(S004) the blessed funnel
 }
 
-/// The mutable counterpart of [`height_of`].
+/// The mutable counterpart of [`at`].
 #[inline(always)]
-fn height_slot(heights: &mut [usize], idx: usize) -> &mut usize {
-    &mut heights[idx] // analyze: allow(S004) the blessed funnel
-}
-
-/// The blessed map funnel: classification seeded every label it later
-/// reads back.
-#[inline(always)]
-fn seeded<'a, T>(map: &'a HashMap<Label, T>, l: &Label) -> &'a T {
-    &map[l] // analyze: allow(S004) the blessed funnel
+fn slot<T>(table: &mut [T], idx: usize) -> &mut T {
+    &mut table[idx] // analyze: allow(S004) the blessed funnel
 }
 
 /// Classification of the labels appearing in a tree pair, with the
@@ -65,48 +59,52 @@ impl LabelClasses {
         t2: &Tree<V>,
         guard: &Guard,
     ) -> Result<LabelClasses, GuardError> {
-        // max height per label, and whether any bearer is internal.
-        let mut max_height: HashMap<Label, usize> = HashMap::new();
-        let mut any_internal: HashMap<Label, bool> = HashMap::new();
+        // Per label index: max height (usize::MAX until the label is first
+        // seen) and whether any bearer is internal.
+        let mut max_height: Vec<usize> = Vec::new();
+        let mut any_internal: Vec<bool> = Vec::new();
         let mut seen_order: Vec<Label> = Vec::new();
         for tree in [t1, t2] {
             guard.checkpoint()?;
-            // Dense per-node heights in one postorder pass (Tree::height
-            // recomputes recursively per call — O(subtree) each).
+            let order: Vec<NodeId> = tree.preorder().collect();
+            // Dense per-node heights: reversed preorder visits children
+            // before parents, so each node raises its parent once.
             let mut heights = vec![0usize; tree.arena_len()];
-            for id in tree.postorder() {
+            for &id in order.iter().rev() {
                 guard.tick()?;
-                let h = tree
-                    .children(id)
-                    .iter()
-                    .map(|&c| height_of(&heights, c.index()) + 1)
-                    .max()
-                    .unwrap_or(0);
-                *height_slot(&mut heights, id.index()) = h;
+                if let Some(p) = tree.parent(id) {
+                    let h = at(&heights, id.index()) + 1;
+                    let ph = slot(&mut heights, p.index());
+                    *ph = (*ph).max(h);
+                }
             }
-            for id in tree.preorder() {
+            for &id in &order {
                 guard.tick()?;
                 let l = tree.label(id);
-                let h = height_of(&heights, id.index());
-                let e = max_height.entry(l).or_insert_with(|| {
+                if l.index() >= max_height.len() {
+                    max_height.resize(l.index() + 1, usize::MAX);
+                    any_internal.resize(l.index() + 1, false);
+                }
+                let e = slot(&mut max_height, l.index());
+                if *e == usize::MAX {
                     seen_order.push(l);
-                    0
-                });
-                *e = (*e).max(h);
-                *any_internal.entry(l).or_insert(false) |= !tree.is_leaf(id);
+                    *e = 0;
+                }
+                *e = (*e).max(at(&heights, id.index()));
+                *slot(&mut any_internal, l.index()) |= !tree.is_leaf(id);
             }
         }
         let mut leaf_labels = Vec::new();
         let mut internal_labels = Vec::new();
         for &l in &seen_order {
             // analyze: allow(S031) bounded by distinct labels
-            if *seeded(&any_internal, &l) {
+            if at(&any_internal, l.index()) {
                 internal_labels.push(l);
             } else {
                 leaf_labels.push(l);
             }
         }
-        internal_labels.sort_by_key(|l| *seeded(&max_height, l));
+        internal_labels.sort_by_key(|l| at(&max_height, l.index()));
         Ok(LabelClasses {
             leaf_labels,
             internal_labels,

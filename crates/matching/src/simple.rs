@@ -6,10 +6,9 @@
 //! acyclic-labels condition, the result is the unique maximal matching
 //! (Theorem 5.2).
 
-use std::collections::HashMap;
-
 use hierdiff_edit::Matching;
 use hierdiff_guard::Guard;
+use hierdiff_tree::traverse::preorder_stopping_at;
 use hierdiff_tree::{Label, NodeId, NodeValue, Tree};
 
 use crate::criteria::{MatchCounters, MatchCtx, MatchParams};
@@ -29,14 +28,32 @@ pub struct MatchResult {
 
 /// Groups the live nodes of `tree` by label, preserving document order —
 /// the `chain_T(l)` of Section 5.3 ("all nodes with a given label l in tree
-/// T are chained together from left to right").
-pub fn label_chains<V: NodeValue>(tree: &Tree<V>) -> HashMap<Label, Vec<NodeId>> {
-    let mut chains: HashMap<Label, Vec<NodeId>> = HashMap::new();
-    for id in tree.preorder() {
+/// T are chained together from left to right"). The table is indexed by
+/// [`Label::index`]; read it with [`chain`].
+///
+/// The walk does not enter below nodes marked in `stop` (by arena index;
+/// see [`preorder_stopping_at`]): FastMatch passes its seed's anchor
+/// roots, whose interiors are matched and would be filtered out of every
+/// chain anyway. Pass `&[]` to chain every node.
+pub fn label_chains<V: NodeValue>(tree: &Tree<V>, stop: &[bool]) -> Vec<Vec<NodeId>> {
+    let mut chains: Vec<Vec<NodeId>> = Vec::new();
+    for id in preorder_stopping_at(tree, tree.root(), stop) {
         // analyze: allow(S031) O(n) chain-building pre-pass
-        chains.entry(tree.label(id)).or_default().push(id);
+        let l = tree.label(id).index();
+        if l >= chains.len() {
+            chains.resize_with(l + 1, Vec::new);
+        }
+        if let Some(c) = chains.get_mut(l) {
+            c.push(id);
+        }
     }
     chains
+}
+
+/// The chain of label `l` in a table built by [`label_chains`] (empty when
+/// no chained node bears `l`).
+pub fn chain(chains: &[Vec<NodeId>], l: Label) -> &[NodeId] {
+    chains.get(l.index()).map_or(&[], Vec::as_slice)
 }
 
 /// Algorithm *Match* (Figure 10).
@@ -51,13 +68,12 @@ pub fn match_simple<V: NodeValue>(
     let classes = LabelClasses::classify(t1, t2, &Guard::unlimited())?;
     let mut ctx = MatchCtx::new(t1, t2, params, &classes);
     let mut m = Matching::with_capacity(t1.arena_len(), t2.arena_len());
-    let chains1 = label_chains(t1);
-    let chains2 = label_chains(t2);
+    let chains1 = label_chains(t1, &[]);
+    let chains2 = label_chains(t2, &[]);
 
     // Leaf labels first (Criterion 1), then internal labels bottom-up
     // (Criterion 2 — it consumes only the leaf matches, but the bottom-up
     // order mirrors Figure 10 and Theorem 5.2's construction).
-    let empty: Vec<NodeId> = Vec::new();
     for (phase, phase_labels) in [&classes.leaf_labels, &classes.internal_labels]
         .into_iter()
         .enumerate()
@@ -66,8 +82,8 @@ pub fn match_simple<V: NodeValue>(
         let is_leaf_phase = phase == 0;
         for &label in phase_labels {
             // analyze: allow(S031) Algorithm Match runs ungoverned by design
-            let xs = chains1.get(&label).unwrap_or(&empty);
-            let ys = chains2.get(&label).unwrap_or(&empty);
+            let xs = chain(&chains1, label);
+            let ys = chain(&chains2, label);
             for &x in xs {
                 // analyze: allow(S031) Algorithm Match runs ungoverned by design
                 if m.is_matched1(x) {
@@ -190,13 +206,22 @@ mod tests {
     #[test]
     fn label_chains_document_order() {
         let t = doc(r#"(D (P (S "a")) (Sec (P (S "b"))))"#);
-        let chains = label_chains(&t);
-        let ps = &chains[&Label::intern("P")];
+        let chains = label_chains(&t, &[]);
+        let ps = chain(&chains, Label::intern("P"));
         assert_eq!(ps.len(), 2);
         // First P (document order) is the child of the root.
         assert_eq!(ps[0], t.children(t.root())[0]);
-        assert_eq!(chains[&Label::intern("S")].len(), 2);
-        assert_eq!(chains[&Label::intern("D")], vec![t.root()]);
+        assert_eq!(chain(&chains, Label::intern("S")).len(), 2);
+        assert_eq!(chain(&chains, Label::intern("D")), [t.root()]);
+        assert!(chain(&chains, Label::intern("Absent")).is_empty());
+        // Stopping at the section chains it but none of its interior.
+        let sec = t.children(t.root())[1];
+        let mut stop = vec![false; t.arena_len()];
+        stop[sec.index()] = true;
+        let chains = label_chains(&t, &stop);
+        assert_eq!(chain(&chains, Label::intern("Sec")), [sec]);
+        assert_eq!(chain(&chains, Label::intern("P")).len(), 1);
+        assert_eq!(chain(&chains, Label::intern("S")).len(), 1);
     }
 
     #[test]

@@ -38,7 +38,7 @@ struct Chain {
     quarantined: Vec<bool>,
 }
 
-/// Outcome of a [`DocCache::validate`] sweep.
+/// Outcome of a [`DiffService::validate_cache`](crate::DiffService::validate_cache) sweep.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheValidation {
     /// Version entries checked.

@@ -441,7 +441,12 @@ fn run_attempt(
     } else {
         Audit::Off
     };
-    let differ = Differ::new().budget(budgets).cancel(token).audit(audit);
+    // A response carries no delta tree: build one only for the audit.
+    let differ = Differ::new()
+        .budget(budgets)
+        .cancel(token)
+        .audit(audit)
+        .delta(shared.config.audit);
     let differ = match rung {
         Rung::GumTree => differ.strategy(MatchStrategy::gumtree()),
         Rung::FastMatch => {

@@ -14,9 +14,20 @@ use crate::value::NodeValue;
 /// Breadth-first traversal starting at `start` (inclusive): parents before
 /// children, siblings left-to-right.
 pub fn bfs_of<V: NodeValue>(tree: &Tree<V>, start: NodeId) -> Bfs<'_, V> {
+    bfs_stopping_at(tree, start, &[])
+}
+
+/// [`bfs_of`] that yields every node it reaches but does not descend below
+/// a node whose arena index is marked `true` in `stop` (see
+/// [`preorder_stopping_at`]).
+pub fn bfs_stopping_at<'t, V: NodeValue>(
+    tree: &'t Tree<V>,
+    start: NodeId,
+    stop: &'t [bool],
+) -> Bfs<'t, V> {
     let mut queue = VecDeque::new();
     queue.push_back(start);
-    Bfs { tree, queue }
+    Bfs { tree, queue, stop }
 }
 
 /// Pre-order (document-order / "in-order position" of the paper) traversal of
@@ -26,6 +37,19 @@ pub fn bfs_of<V: NodeValue>(tree: &Tree<V>, start: NodeId) -> Bfs<'_, V> {
 /// subtree is the contiguous index range `[start, start + size)`, so the
 /// traversal degenerates to counting — a linear scan with no stack.
 pub fn preorder_of<V: NodeValue>(tree: &Tree<V>, start: NodeId) -> Preorder<'_, V> {
+    preorder_stopping_at(tree, start, &[])
+}
+
+/// [`preorder_of`] that yields every node it reaches but does not descend
+/// below a node whose arena index is marked `true` in `stop` (indices past
+/// the end of `stop` are unmarked). On a compact tree a stop skips the
+/// subtree's index range in one step, so the walk costs the nodes it
+/// yields, not the nodes below the stops.
+pub fn preorder_stopping_at<'t, V: NodeValue>(
+    tree: &'t Tree<V>,
+    start: NodeId,
+    stop: &'t [bool],
+) -> Preorder<'t, V> {
     let mode = match tree.subtree_range(start) {
         Some(range) => Mode::Scan {
             next: n32(range.start),
@@ -33,17 +57,34 @@ pub fn preorder_of<V: NodeValue>(tree: &Tree<V>, start: NodeId) -> Preorder<'_, 
         },
         None => Mode::Stack(vec![start]),
     };
-    Preorder { tree, mode }
+    Preorder { tree, mode, stop }
 }
 
 /// Post-order traversal of the subtree rooted at `start`: children before
 /// parents, as required by the delete phase of Algorithm *EditScript*
 /// ("descendents will be deleted before their ancestors", Section 4.1).
 pub fn postorder_of<V: NodeValue>(tree: &Tree<V>, start: NodeId) -> Postorder<'_, V> {
+    postorder_stopping_at(tree, start, &[])
+}
+
+/// [`postorder_of`] that yields every node it reaches but does not descend
+/// below a node whose arena index is marked `true` in `stop` (see
+/// [`preorder_stopping_at`]).
+pub fn postorder_stopping_at<'t, V: NodeValue>(
+    tree: &'t Tree<V>,
+    start: NodeId,
+    stop: &'t [bool],
+) -> Postorder<'t, V> {
     Postorder {
         tree,
         stack: vec![(start, false)],
+        stop,
     }
+}
+
+/// Whether arena index `id` is marked in a stop set.
+fn stops_at(stop: &[bool], id: NodeId) -> bool {
+    stop.get(id.index()).copied().unwrap_or(false)
 }
 
 /// Iterator over ancestors of `id`, starting at its parent and ending at the
@@ -55,10 +96,11 @@ pub fn ancestors_of<V: NodeValue>(tree: &Tree<V>, id: NodeId) -> Ancestors<'_, V
     }
 }
 
-/// See [`bfs_of`].
+/// See [`bfs_of`] and [`bfs_stopping_at`].
 pub struct Bfs<'t, V> {
     tree: &'t Tree<V>,
     queue: VecDeque<NodeId>,
+    stop: &'t [bool],
 }
 
 impl<V: NodeValue> Iterator for Bfs<'_, V> {
@@ -66,7 +108,9 @@ impl<V: NodeValue> Iterator for Bfs<'_, V> {
 
     fn next(&mut self) -> Option<NodeId> {
         let id = self.queue.pop_front()?;
-        self.queue.extend(self.tree.children(id).iter().copied());
+        if !stops_at(self.stop, id) {
+            self.queue.extend(self.tree.children(id).iter().copied());
+        }
         Some(id)
     }
 }
@@ -78,29 +122,36 @@ enum Mode {
     Stack(Vec<NodeId>),
 }
 
-/// See [`preorder_of`].
+/// See [`preorder_of`] and [`preorder_stopping_at`].
 pub struct Preorder<'t, V> {
     tree: &'t Tree<V>,
     mode: Mode,
+    stop: &'t [bool],
 }
 
 impl<V: NodeValue> Iterator for Preorder<'_, V> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
+        let (tree, stop) = (self.tree, self.stop);
         match &mut self.mode {
             Mode::Scan { next, end } => {
                 if next == end {
                     return None;
                 }
                 let id = NodeId(*next);
-                *next += 1;
+                *next = match stops_at(stop, id).then(|| tree.skip_offset(id)).flatten() {
+                    Some(skip) => n32(skip),
+                    None => *next + 1,
+                };
                 Some(id)
             }
             Mode::Stack(stack) => {
                 let id = stack.pop()?;
-                // Push children reversed so the leftmost child pops first.
-                stack.extend(self.tree.children(id).iter().rev().copied());
+                if !stops_at(stop, id) {
+                    // Push children reversed so the leftmost child pops first.
+                    stack.extend(tree.children(id).iter().rev().copied());
+                }
                 Some(id)
             }
         }
@@ -109,18 +160,21 @@ impl<V: NodeValue> Iterator for Preorder<'_, V> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         match &self.mode {
             Mode::Scan { next, end } => {
+                // Stops can skip ranges: then only the upper bound is exact.
                 let n = (end - next) as usize;
-                (n, Some(n))
+                let lower = if self.stop.is_empty() { n } else { n.min(1) };
+                (lower, Some(n))
             }
             Mode::Stack(stack) => (stack.len(), None),
         }
     }
 }
 
-/// See [`postorder_of`].
+/// See [`postorder_of`] and [`postorder_stopping_at`].
 pub struct Postorder<'t, V> {
     tree: &'t Tree<V>,
     stack: Vec<(NodeId, bool)>,
+    stop: &'t [bool],
 }
 
 impl<V: NodeValue> Iterator for Postorder<'_, V> {
@@ -129,7 +183,7 @@ impl<V: NodeValue> Iterator for Postorder<'_, V> {
     fn next(&mut self) -> Option<NodeId> {
         loop {
             let (id, expanded) = self.stack.pop()?;
-            if expanded {
+            if expanded || stops_at(self.stop, id) {
                 return Some(id);
             }
             self.stack.push((id, true));
@@ -222,6 +276,34 @@ mod tests {
         let (t, n) = sample();
         let order: Vec<_> = t.preorder().collect();
         assert_eq!(order, vec![n[0], n[1], n[4], n[5], n[2], n[6], n[3]]);
+    }
+
+    #[test]
+    fn walks_stop_below_marked_nodes_in_both_layouts() {
+        let (dirty, n) = sample();
+        let compact =
+            Tree::<String>::parse_sexpr(r#"(D (P (S "a") (S "b")) (P (S "c")) (S "d"))"#).unwrap();
+        assert!(compact.is_compact() && !dirty.is_compact());
+        for t in [&dirty, &compact] {
+            let kids = t.children(t.root());
+            let mut stop = vec![false; t.arena_len()];
+            stop[kids[0].index()] = true;
+            let first = t.children(kids[0]);
+            let outside = |full: Vec<crate::NodeId>| -> Vec<crate::NodeId> {
+                full.into_iter().filter(|id| !first.contains(id)).collect()
+            };
+            let order: Vec<_> = super::preorder_stopping_at(t, t.root(), &stop).collect();
+            assert_eq!(order, outside(t.preorder().collect()));
+            let order: Vec<_> = super::bfs_stopping_at(t, t.root(), &stop).collect();
+            assert_eq!(order, outside(t.bfs().collect()));
+            let order: Vec<_> = super::postorder_stopping_at(t, t.root(), &stop).collect();
+            assert_eq!(order, outside(t.postorder().collect()));
+        }
+        // A stop on a leaf or an empty mask changes nothing.
+        let mut stop = vec![false; dirty.arena_len()];
+        stop[n[4].index()] = true;
+        let order: Vec<_> = super::preorder_stopping_at(&dirty, dirty.root(), &stop).collect();
+        assert_eq!(order, dirty.preorder().collect::<Vec<_>>());
     }
 
     #[test]

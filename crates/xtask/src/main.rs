@@ -70,7 +70,8 @@ fn load_allowlist(
 /// no longer on disk (so a deleted module never re-records entries), and
 /// reports how many entries of the *previous* list pointed at dead files.
 /// Rendering sorts by the explicit `(path, line, code)` key, so the output
-/// is byte-for-byte deterministic.
+/// is byte-for-byte deterministic. Hand-written reason comments of the
+/// previous list move with their entries ([`carry_comment_blocks`]).
 fn write_allowlist_file(
     root: &Path,
     rel: &str,
@@ -85,13 +86,46 @@ fn write_allowlist_file(
         .map(|(_, n)| *n)
         .sum();
     findings.retain(|f| root.join(&f.path).is_file());
-    let rendered = analyze::render_allowlist(&findings, header);
+    let previous = std::fs::read_to_string(&path).unwrap_or_default();
+    let rendered = carry_comment_blocks(&previous, &analyze::render_allowlist(&findings, header));
     std::fs::write(&path, rendered).map_err(|e| format!("{}: {e}", path.display()))?;
     if dead > 0 {
         println!("stripped {dead} previous entries pointing at deleted files");
     }
     println!("wrote {} entries to {}", findings.len(), path.display());
     Ok(())
+}
+
+/// Carries the hand-written comment blocks of the `previous` allowlist
+/// over to the `rendered` one. A block is the run of `#` lines right
+/// before an entry; it goes before the first `rendered` line equal to that
+/// entry, and is dropped when no such line survives. The leading header
+/// block is not carried, since `rendered` has its own.
+fn carry_comment_blocks(previous: &str, rendered: &str) -> String {
+    let mut blocks: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    let mut pending: Vec<&str> = Vec::new();
+    let mut in_header = true;
+    for line in previous.lines().map(str::trim).filter(|l| !l.is_empty()) {
+        if line.starts_with('#') {
+            pending.push(line);
+        } else {
+            if !in_header {
+                blocks.entry(line).or_default().append(&mut pending);
+            }
+            pending.clear();
+            in_header = false;
+        }
+    }
+    let mut out = String::new();
+    for line in rendered.lines() {
+        for comment in blocks.remove(line.trim()).into_iter().flatten() {
+            out.push_str(comment);
+            out.push('\n');
+        }
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
 }
 
 /// Prints a verdict and returns whether the run passes.
@@ -465,6 +499,51 @@ mod tests {
         // A fully burned list keeps its zero total — not stale.
         let zeroed = counts(&[("analyze-allow", 0)]);
         assert!(stale_ceilings(&zeroed, &counts(&[("analyze-allow", 3)])).is_empty());
+    }
+
+    fn finding(path: &str, line: usize, code: &'static str) -> analyze::Finding {
+        analyze::Finding {
+            path: path.to_string(),
+            line,
+            col: 0,
+            code,
+            message: String::new(),
+        }
+    }
+
+    #[test]
+    fn write_allowlist_keeps_reason_comments_with_their_entries() {
+        let root = std::env::temp_dir().join(format!("xtask-allow-{}", std::process::id()));
+        std::fs::create_dir_all(root.join("src")).unwrap();
+        for f in ["a.rs", "b.rs", "c.rs"] {
+            std::fs::write(root.join("src").join(f), "").unwrap();
+        }
+        std::fs::write(
+            root.join("allow.txt"),
+            "# old header\n\
+             src/a.rs S004\n\
+             # why b may panic:\n\
+             # the funnel is bounded.\n\
+             src/b.rs S053\n\
+             # c's reason, gone with c's entry\n\
+             src/c.rs L002\n",
+        )
+        .unwrap();
+        let findings = vec![
+            finding("src/b.rs", 9, "S053"),
+            finding("src/a.rs", 3, "S004"),
+        ];
+        write_allowlist_file(&root, "allow.txt", findings, "new header").unwrap();
+        let written = std::fs::read_to_string(root.join("allow.txt")).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(
+            written,
+            "# new header\n\
+             src/a.rs S004\n\
+             # why b may panic:\n\
+             # the funnel is bounded.\n\
+             src/b.rs S053\n"
+        );
     }
 
     #[test]

@@ -18,8 +18,12 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-use hierdiff::matching::GumTreeParams;
-use hierdiff::tree::Tree;
+use hierdiff::edit::{edit_script, Matching, McesStats};
+use hierdiff::guard::Guard;
+use hierdiff::matching::{
+    fast_match_seeded, gumtree_match, prune_identical, GumTreeParams, MatchParams,
+};
+use hierdiff::tree::{NodeValue, Tree};
 use hierdiff::workload::{generate_document, perturb, DocProfile, EditMix};
 use hierdiff::{Audit, DiffResult, Differ, MatchStrategy};
 use hierdiff_doc::DocValue;
@@ -225,4 +229,90 @@ fn pipeline_outputs_identical_to_pre_refactor_goldens() {
 #[test]
 fn transcript_is_deterministic() {
     assert_eq!(compute_transcript(), compute_transcript());
+}
+
+/// The matching's pairs without its anchor list: rebuilt pair by pair, so
+/// every pass that stops at anchor roots walks the full trees instead.
+fn without_anchors(m: &Matching) -> Matching {
+    let mut plain = Matching::new();
+    for (x, y) in m.iter() {
+        plain.insert(x, y).unwrap();
+    }
+    plain
+}
+
+/// Runs EditScript with and without `m`'s anchors and asserts the scripts,
+/// total matchings and stats agree, with `lcs_cells` allowed only to drop.
+/// Returns whether `m` carried anchors at all.
+fn assert_truncation_invisible<V: NodeValue>(
+    case: &str,
+    t1: &Tree<V>,
+    t2: &Tree<V>,
+    m: &Matching,
+) -> bool {
+    let full = edit_script(t1, t2, &without_anchors(m)).unwrap();
+    let cut = edit_script(t1, t2, m).unwrap();
+    assert_eq!(cut.script, full.script, "{case}: scripts differ");
+    assert_eq!(
+        cut.total_matching.iter().collect::<Vec<_>>(),
+        full.total_matching.iter().collect::<Vec<_>>(),
+        "{case}: total matchings differ"
+    );
+    assert!(
+        cut.stats.lcs_cells <= full.stats.lcs_cells,
+        "{case}: lcs_cells rose from {} to {}",
+        full.stats.lcs_cells,
+        cut.stats.lcs_cells
+    );
+    let same_cells = McesStats {
+        lcs_cells: full.stats.lcs_cells,
+        ..cut.stats
+    };
+    assert_eq!(same_cells, full.stats, "{case}: stats differ");
+    !m.anchors().is_empty()
+}
+
+fn check_anchor_truncation<V: NodeValue>(case: &str, t1: &Tree<V>, t2: &Tree<V>) -> usize {
+    let params = MatchParams::default();
+    let (seed, _) = prune_identical(t1, t2, &Guard::unlimited()).unwrap();
+    // FastMatch's chains stop at the seed's anchor roots: same matching,
+    // same work counters as chains over the whole trees.
+    let cut = fast_match_seeded(t1, t2, params, seed.clone()).unwrap();
+    let full = fast_match_seeded(t1, t2, params, without_anchors(&seed)).unwrap();
+    assert_eq!(
+        cut.matching.iter().collect::<Vec<_>>(),
+        full.matching.iter().collect::<Vec<_>>(),
+        "{case}: pruned FastMatch matchings differ"
+    );
+    assert_eq!(
+        cut.counters, full.counters,
+        "{case}: FastMatch counters differ"
+    );
+    assert_eq!(
+        cut.matching.anchors(),
+        seed.anchors(),
+        "{case}: anchors lost"
+    );
+    let gum = gumtree_match(t1, t2, GumTreeParams::default()).unwrap();
+    usize::from(assert_truncation_invisible(case, t1, t2, &cut.matching))
+        + usize::from(assert_truncation_invisible(case, t1, t2, &gum.matching))
+}
+
+/// Stopping FastMatch and EditScript at anchor roots changes no output on
+/// the fixture and randomized corpora, pruned or GumTree.
+#[test]
+fn anchor_truncation_is_invisible() {
+    let mut anchored = 0;
+    for (name, old, new) in FIXTURE_PAIRS {
+        anchored += check_anchor_truncation(name, &load_fixture(old), &load_fixture(new));
+    }
+    let corpus = random_corpus();
+    for (name, t1, t2) in &corpus {
+        anchored += check_anchor_truncation(name, t1, t2);
+    }
+    let runs = 2 * (FIXTURE_PAIRS.len() + corpus.len());
+    assert!(
+        anchored * 2 > runs,
+        "only {anchored} of {runs} runs carried anchors"
+    );
 }
