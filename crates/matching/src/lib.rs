@@ -75,4 +75,4 @@ pub use prune::{prune_identical, prune_identical_indexed, PruneStats};
 pub use quality::{match_quality, MatchQuality};
 pub use recover::{recover_matched_pairs, RecoveryStats};
 pub use schema::{check_acyclic, LabelClasses, LabelCycle};
-pub use simple::{chain, label_chains, match_simple, MatchResult};
+pub use simple::{label_chains, match_simple, MatchResult};

@@ -29,7 +29,7 @@ pub struct MatchResult {
 /// Groups the live nodes of `tree` by label, preserving document order —
 /// the `chain_T(l)` of Section 5.3 ("all nodes with a given label l in tree
 /// T are chained together from left to right"). The table is indexed by
-/// [`Label::index`]; read it with [`chain`].
+/// [`Label::index`] and ends at the largest label chained.
 ///
 /// The walk does not enter below nodes marked in `stop` (by arena index;
 /// see [`preorder_stopping_at`]): FastMatch passes its seed's anchor
@@ -52,7 +52,7 @@ pub fn label_chains<V: NodeValue>(tree: &Tree<V>, stop: &[bool]) -> Vec<Vec<Node
 
 /// The chain of label `l` in a table built by [`label_chains`] (empty when
 /// no chained node bears `l`).
-pub fn chain(chains: &[Vec<NodeId>], l: Label) -> &[NodeId] {
+pub(crate) fn chain(chains: &[Vec<NodeId>], l: Label) -> &[NodeId] {
     chains.get(l.index()).map_or(&[], Vec::as_slice)
 }
 
