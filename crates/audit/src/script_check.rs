@@ -21,8 +21,8 @@
 //! partners, and, per matched parent pair, as many intra-parent moves as
 //! the children matched across it minus their longest common subsequence.
 //! The LCS here is a plain dynamic program, independent of the Myers
-//! kernel *EditScript* uses, so the check also proves that no shortcut of
-//! the generator skipped an op it should have written.
+//! kernel *EditScript* uses, so the check also catches a shortcut of the
+//! generator that skips an op it should have written.
 
 use hierdiff_edit::{apply_script, EditOp, Matching, McesResult, DUMMY_ROOT_LABEL};
 use hierdiff_tree::{isomorphic, Label, NodeValue, Tree};
@@ -202,7 +202,7 @@ fn audit_minimality<V: NodeValue>(
         ),
     ] {
         if closed != actual {
-            drift.push(format!("{name}: closed form {closed}, script has {actual}"));
+            drift.push(format!("{name}: closed form {closed}, result has {actual}"));
         }
     }
     if drift.is_empty() {
