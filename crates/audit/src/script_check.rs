@@ -436,7 +436,7 @@ mod tests {
         });
         res.script = EditScript::from_ops(ops);
         res.stats.intra_moves += 1;
-        res.stats.weighted_distance += res.edited.leaf_count(first);
+        res.stats.weighted_distance += res.replay_on(t1).unwrap().leaf_count(first);
     }
 
     #[test]

@@ -454,7 +454,7 @@ mod tests {
             let r = r.as_ref().unwrap();
             let seq = Differ::new().diff(&olds[i], &news[i]).unwrap();
             assert_eq!(r.script, seq.script, "pair {i}");
-            assert!(isomorphic(&r.mces.edited, &news[i]));
+            assert!(isomorphic(&r.mces.replay_on(&olds[i]).unwrap(), &news[i]));
         }
     }
 

@@ -264,8 +264,9 @@ pub struct DiffResult<V: NodeValue> {
     pub matching: Matching,
     /// The minimum conforming edit script.
     pub script: EditScript<V>,
-    /// The raw edit-script generation result (total matching, edited tree,
-    /// instrumentation).
+    /// The raw edit-script generation result (total matching, wrapping
+    /// flag, instrumentation); [`McesResult::replay_on`] rebuilds the
+    /// edited tree.
     pub mces: McesResult<V>,
     /// The delta tree (Section 6), if requested.
     pub delta: Option<DeltaTree<V>>,
@@ -466,7 +467,7 @@ mod tests {
         let old = doc(r#"(D (P (S "a") (S "b") (S "c")) (P (S "d") (S "e")))"#);
         let new = doc(r#"(D (P (S "a") (S "c")) (P (S "d") (S "e") (S "f")))"#);
         let r = Differ::new().diff(&old, &new).unwrap();
-        assert!(isomorphic(&r.mces.edited, &new));
+        assert!(isomorphic(&r.mces.replay_on(&old).unwrap(), &new));
         let c = r.script.op_counts();
         assert_eq!(c.deletes, 1);
         assert_eq!(c.inserts, 1);
@@ -517,7 +518,7 @@ mod tests {
             .audit(Audit::On)
             .diff(&old, &new)
             .unwrap();
-        assert!(isomorphic(&r.mces.edited, &new));
+        assert!(isomorphic(&r.mces.replay_on(&old).unwrap(), &new));
         assert!(r.audit.expect("audit on").is_clean());
     }
 
@@ -561,7 +562,7 @@ mod tests {
             pruned.script.len(),
             "equally good scripts"
         );
-        assert!(isomorphic(&pruned.mces.edited, &new));
+        assert!(isomorphic(&pruned.mces.replay_on(&old).unwrap(), &new));
         assert!(
             pruned.counters.nodes_pruned > 0,
             "unchanged paragraphs pruned"
@@ -588,7 +589,7 @@ mod tests {
             gumtree.profile.unwrap().phase("prune").is_none(),
             "gumtree has its own top-down phase; prune() does not apply"
         );
-        assert!(isomorphic(&gumtree.mces.edited, &new));
+        assert!(isomorphic(&gumtree.mces.replay_on(&old).unwrap(), &new));
     }
 
     #[test]
@@ -690,7 +691,10 @@ mod tests {
         assert!(r.degraded.matching, "truncated refinement flags the tier");
         assert_eq!(r.matching.len(), fast.matching.len(), "nothing adopted");
         assert!(r.audit.unwrap().is_clean());
-        assert!(isomorphic(&r.mces.edited, &t2), "degraded yet conforming");
+        assert!(
+            isomorphic(&r.mces.replay_on(&t1).unwrap(), &t2),
+            "degraded yet conforming"
+        );
         let full = Differ::new().strategy(a_k(3)).diff(&t1, &t2).unwrap();
         assert!(
             full.matching.len() > fast.matching.len(),
@@ -768,8 +772,8 @@ mod tests {
     fn lcs_budget_degrades_and_audits_clean() {
         // A large reversal makes both the FastMatch chain LCS and the
         // AlignChildren LCS expensive; a 1-cell budget forces the full
-        // degradation ladder. The result must still be conforming (edited
-        // tree isomorphic to T2) and pass every stage-boundary audit.
+        // degradation ladder. The result must still be conforming (its
+        // replay isomorphic to T2) and pass every stage-boundary audit.
         let n = 30;
         let fwd: Vec<String> = (0..n).map(|i| format!("(S \"v{i}\")")).collect();
         let rev: Vec<String> = (0..n).rev().map(|i| format!("(S \"v{i}\")")).collect();
@@ -782,7 +786,10 @@ mod tests {
             .unwrap();
         assert!(r.degraded.matching, "FastMatch must have degraded");
         assert!(r.degraded.any());
-        assert!(isomorphic(&r.mces.edited, &new), "degraded yet conforming");
+        assert!(
+            isomorphic(&r.mces.replay_on(&old).unwrap(), &new),
+            "degraded yet conforming"
+        );
         let report = r.audit.expect("audit was on");
         assert!(report.is_clean(), "degraded results audit clean: {report}");
         // Ungoverned runs never degrade.
@@ -830,7 +837,7 @@ mod tests {
         assert!(r.degraded.matching);
         assert!(r.counters.nodes_pruned > 0, "prune pre-pass still ran");
         assert!(r.audit.unwrap().is_clean());
-        assert!(isomorphic(&r.mces.edited, &new));
+        assert!(isomorphic(&r.mces.replay_on(&old).unwrap(), &new));
     }
 
     #[test]
@@ -853,7 +860,7 @@ mod tests {
             .diff(&old, &new)
             .unwrap();
         assert!(seeded.audit.unwrap().is_clean(), "seed ⊆ matching holds");
-        assert!(isomorphic(&seeded.mces.edited, &new));
+        assert!(isomorphic(&seeded.mces.replay_on(&old).unwrap(), &new));
         assert_eq!(
             seeded.profile.unwrap().counter("nodes_pruned"),
             seed.len() as u64,
@@ -892,7 +899,10 @@ mod tests {
             .unwrap();
         assert!(r.degraded.matching, "truncated recovery flags the tier");
         assert!(r.audit.unwrap().is_clean());
-        assert!(isomorphic(&r.mces.edited, &new), "degraded yet conforming");
+        assert!(
+            isomorphic(&r.mces.replay_on(&old).unwrap(), &new),
+            "degraded yet conforming"
+        );
         // With room to run, the same input does not degrade.
         let full = Differ::new()
             .strategy(MatchStrategy::gumtree())

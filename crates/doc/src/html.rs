@@ -33,6 +33,8 @@ pub fn parse_html(src: &str) -> Tree<DocValue> {
         p.feed(tok);
     }
     p.flush_text();
+    // Document-order construction: sealing keeps every id.
+    p.tree.compact();
     p.tree
 }
 

@@ -155,6 +155,9 @@ impl<'a> Parser<'a> {
             self.push_text(trimmed);
         }
         self.flush_paragraph();
+        // Nodes were pushed in document order, so ids already are preorder
+        // ranks: this seals the layout without renumbering.
+        self.tree.compact();
         self.tree
     }
 

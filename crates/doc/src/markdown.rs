@@ -103,6 +103,8 @@ pub fn parse_markdown(src: &str) -> Tree<DocValue> {
         p.push_text(trimmed.trim());
     }
     p.flush_paragraph();
+    // Document-order construction: sealing keeps every id.
+    tree.compact();
     tree
 }
 

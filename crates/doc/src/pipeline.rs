@@ -225,7 +225,6 @@ pub fn diff_trees(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hierdiff_tree::isomorphic;
 
     const OLD: &str = "\\section{First things first}\nComputer system manuals usually make dull reading. \
         This one contains jokes every once in a while. Most jokes require understanding a technical point.\n\n\
@@ -252,8 +251,9 @@ mod tests {
         );
         // The renamed section is an update.
         assert!(out.markup.contains("(upd) Introduction"), "{}", out.markup);
-        // The result tree is isomorphic to the new tree.
-        assert!(isomorphic(&out.result.edited, &out.new_tree) || out.result.wrapped);
+        // The script replays the old tree into the new one.
+        hierdiff_edit::verify_result(&out.old_tree, &out.new_tree, &out.matching, &out.result)
+            .unwrap();
         assert!(out.stats.ops.inserts >= 1);
         assert!(out.stats.matched > 0);
         assert!(out.stats.counters.total() > 0);
@@ -286,7 +286,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(isomorphic(&out.result.edited, &out.new_tree) || out.result.wrapped);
+        hierdiff_edit::verify_result(&out.old_tree, &out.new_tree, &out.matching, &out.result)
+            .unwrap();
         assert!(out.stats.matched > 0);
         // The unchanged Conclusion section survives as matches.
         assert!(out.markup.contains("Conclusion"), "{}", out.markup);
@@ -432,6 +433,7 @@ mod tests {
         // Clean documents: nothing to re-match, but the pass must not break
         // anything.
         assert_eq!(out.stats.rematched, 0);
-        assert!(isomorphic(&out.result.edited, &out.new_tree) || out.result.wrapped);
+        hierdiff_edit::verify_result(&out.old_tree, &out.new_tree, &out.matching, &out.result)
+            .unwrap();
     }
 }

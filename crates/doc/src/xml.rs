@@ -192,7 +192,10 @@ pub fn parse_xml(src: &str) -> Result<Tree<DocValue>, XmlError> {
     if !open_names.is_empty() {
         return Err(XmlError::UnclosedElements(open_names));
     }
-    tree.ok_or(XmlError::NoRoot)
+    let mut tree = tree.ok_or(XmlError::NoRoot)?;
+    // Document-order construction: sealing keeps every id.
+    tree.compact();
+    Ok(tree)
 }
 
 /// Parses `name attr="v" ...` from a tag body.

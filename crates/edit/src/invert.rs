@@ -201,7 +201,7 @@ mod tests {
         let inverse = invert_script(&t1, &res.script).unwrap();
         let mut fwd = t1.clone();
         apply(&mut fwd, &res.script).unwrap();
-        assert!(isomorphic(&fwd, &res.edited));
+        assert!(isomorphic(&fwd, &t2));
         apply(&mut fwd, &inverse).unwrap();
         assert!(isomorphic(&fwd, &t1));
     }

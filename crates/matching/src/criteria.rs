@@ -155,6 +155,9 @@ impl LeafRanges {
     /// node (e.g. an empty paragraph) contains no leaves, so it neither
     /// inflates its ancestors' `|x|` nor participates in Criterion 1.
     pub fn new<V: NodeValue>(tree: &Tree<V>, classes: &LabelClasses) -> LeafRanges {
+        if tree.is_compact() {
+            return LeafRanges::from_leaf_ranks(tree, classes);
+        }
         let mut order = Vec::new();
         let mut range = vec![(0u32, 0u32); tree.arena_len()];
         // Iterative pre/post pass assigning [start, end) leaf slices.
@@ -178,6 +181,33 @@ impl LeafRanges {
                 }
             }
         }
+        LeafRanges { order, range }
+    }
+
+    /// [`LeafRanges::new`] on a [compact](Tree::is_compact) tree, where ids
+    /// are preorder ranks: one index scan counts the leaves ranked before
+    /// each node, and the leaves of a subtree are those counted between
+    /// its id and its [skip offset](Tree::skip_offset).
+    fn from_leaf_ranks<V: NodeValue>(tree: &Tree<V>, classes: &LabelClasses) -> LeafRanges {
+        let n = tree.arena_len();
+        let mut order = Vec::new();
+        // `before[i]`: leaves at ranks below `i`; `before[n]`: all leaves.
+        let mut before = Vec::with_capacity(n + 1);
+        for id in tree.preorder() {
+            // analyze: allow(S031) O(n) leaf-range precompute before the governed match loops
+            before.push(order.len() as u32);
+            if tree.is_leaf(id) && classes.is_leaf_label(tree.label(id)) {
+                order.push(id);
+            }
+        }
+        before.push(order.len() as u32);
+        let range = tree
+            .preorder()
+            .map(|id| {
+                let end = tree.skip_offset(id).unwrap_or(n);
+                (at(&before, id.index()), at(&before, end))
+            })
+            .collect();
         LeafRanges { order, range }
     }
 
@@ -370,6 +400,31 @@ mod tests {
                 .leaf_threshold,
             0.0
         );
+    }
+
+    /// `t` with every id kept and the compact flag cleared (a move of the
+    /// root's first child onto its own position).
+    fn dirty_twin(t: &Tree<String>) -> Tree<String> {
+        let mut d = t.clone();
+        let first = d.children(d.root())[0];
+        d.move_subtree(first, d.root(), 0).unwrap();
+        assert!(t.is_compact() && !d.is_compact());
+        d
+    }
+
+    #[test]
+    fn leaf_ranges_compact_path_equals_walk() {
+        // A childless internal-label node (the empty P) holds no leaves.
+        let t = doc(r#"(D (P (S "a") (S "b")) (P) (Q (P (S "c")) (S "d")) (S "e"))"#);
+        let dirty = dirty_twin(&t);
+        let classes = LabelClasses::classify(&t, &t, &Guard::unlimited()).unwrap();
+        let scan = LeafRanges::new(&t, &classes);
+        let walk = LeafRanges::new(&dirty, &classes);
+        assert_eq!(scan.order, walk.order);
+        assert_eq!(scan.order.len(), 5);
+        for id in t.preorder() {
+            assert_eq!(scan.leaves_of(id), walk.leaves_of(id), "node {id}");
+        }
     }
 
     #[test]

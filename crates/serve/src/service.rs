@@ -532,4 +532,51 @@ mod tests {
         // cleared them, so every probe above reported a cache hit.
         assert!(service.validate_cache().is_clean());
     }
+
+    /// Ingest compacts every version, and the renumbering that implies
+    /// for a dirty tree never shows: a chain ingested dirty answers each
+    /// pair as the same chain compacted beforehand.
+    #[test]
+    fn dirty_ingest_answers_as_compacted() {
+        let set = generate_docset(&DocSetProfile::paper_sets()[0]);
+        let dirty: Vec<Tree<DocValue>> = set
+            .versions
+            .iter()
+            .map(|t| {
+                let mut d = t.clone();
+                let leaf = d.push_child(d.root(), d.label(d.root()), DocValue::None);
+                d.delete_leaf(leaf).unwrap();
+                d
+            })
+            .collect();
+        let compacted: Vec<Tree<DocValue>> = set
+            .versions
+            .iter()
+            .map(|t| {
+                let mut c = t.clone();
+                c.compact();
+                c
+            })
+            .collect();
+        let n = dirty.len();
+        let config = ServeConfig::default().with_workers(1);
+        let (a, b) = (DiffService::new(config.clone()), DiffService::new(config));
+        a.ingest("doc", dirty);
+        b.ingest("doc", compacted);
+        for v in 0..n {
+            let (entry, _) = a.shared.cache.lookup("doc", v).expect("cached");
+            assert!(entry.tree.is_compact(), "version {v}");
+        }
+        for old in 0..n {
+            for new in [0, (old + 1) % n, n - 1] {
+                let ra = a.diff("doc", old, new).unwrap();
+                let rb = b.diff("doc", old, new).unwrap();
+                assert_eq!(
+                    (ra.script_len, ra.ops),
+                    (rb.script_len, rb.ops),
+                    "{old} -> {new}"
+                );
+            }
+        }
+    }
 }

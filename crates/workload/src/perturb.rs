@@ -515,10 +515,7 @@ mod tests {
         }
         // The ground truth drives the edit-script generator directly.
         let res = hierdiff_edit::edit_script(&t, &t2, &gt).unwrap();
-        assert!(hierdiff_tree::isomorphic(
-            &res.replay_on(&t).unwrap(),
-            &res.edited
-        ));
+        hierdiff_edit::verify_result(&t, &t2, &gt, &res).unwrap();
     }
 
     #[test]

@@ -554,10 +554,7 @@ mod tests {
             }
         }
         let res = hierdiff_edit::edit_script(&t1, &t2, &m).unwrap();
-        assert!(hierdiff_tree::isomorphic(
-            &res.replay_on(&t1).unwrap(),
-            &res.edited
-        ));
+        hierdiff_edit::verify_result(&t1, &t2, &m, &res).unwrap();
     }
 
     fn in_place_equals_extracted(

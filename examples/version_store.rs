@@ -34,8 +34,9 @@ impl VersionStore {
 
     /// Commits a new version: detect the delta, store its inverse, advance.
     ///
-    /// The stored head is the *edited* tree from the diff (isomorphic to
-    /// `next`), so the backward script's node ids line up with the head.
+    /// The stored head is the old head with the script replayed on it
+    /// (isomorphic to `next`), so the backward script's node ids line up
+    /// with the head.
     fn commit(&mut self, next: Tree<DocValue>) -> usize {
         let result = Differ::new()
             .delta(false)
@@ -45,7 +46,10 @@ impl VersionStore {
         let backward =
             invert_script(&self.latest, &result.script).expect("generated scripts replay");
         self.backward.push(backward);
-        self.latest = result.mces.edited;
+        self.latest = result
+            .mces
+            .replay_on(&self.latest)
+            .expect("generated scripts replay");
         result.script.len()
     }
 

@@ -2,12 +2,12 @@
 //! workload corpora: correctness equivalence with plain FastMatch, savings
 //! on real document shapes, and end-to-end pipeline validity.
 
-use hierdiff::edit::edit_script;
+use hierdiff::edit::{edit_script, verify_result};
 use hierdiff::guard::Guard;
 use hierdiff::matching::{
     fast_match, fast_match_seeded, prune_identical, MatchParams, MatchResult,
 };
-use hierdiff::tree::{isomorphic, subtree_hashes, NodeValue, Tree};
+use hierdiff::tree::{subtree_hashes, NodeValue, Tree};
 use hierdiff::workload::{generate_document, perturb, DocProfile, EditMix};
 
 /// FastMatch seeded by the identical-subtree pruning pre-pass, with the
@@ -27,8 +27,8 @@ fn accelerated_pipeline_end_to_end() {
         let (t2, _) = perturb(&t1, 5_100 + seed, 15, &EditMix::revision(), &profile);
         let accel = pruned_fast_match(&t1, &t2);
         let res = edit_script(&t1, &t2, &accel.matching).unwrap();
-        let replayed = res.replay_on(&t1).unwrap();
-        assert!(isomorphic(&replayed, &res.edited), "seed {seed}");
+        verify_result(&t1, &t2, &accel.matching, &res)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 
@@ -42,8 +42,7 @@ fn prematch_is_always_a_valid_seed() {
         let (t2, _) = perturb(&t1, 5_300 + seed, 10, &EditMix::default(), &profile);
         let (seed_m, _) = prune_identical(&t1, &t2, &Guard::unlimited()).unwrap();
         let res = edit_script(&t1, &t2, &seed_m).unwrap();
-        let replayed = res.replay_on(&t1).unwrap();
-        assert!(isomorphic(&replayed, &res.edited), "seed {seed}");
+        verify_result(&t1, &t2, &seed_m, &res).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         // Pre-matched pairs are value-identical by construction.
         for (x, y) in seed_m.iter() {
             assert_eq!(t1.label(x), t2.label(y));

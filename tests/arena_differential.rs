@@ -21,9 +21,10 @@ use std::path::Path;
 use hierdiff::edit::{edit_script, Matching, McesStats};
 use hierdiff::guard::Guard;
 use hierdiff::matching::{
-    fast_match_seeded, gumtree_match, prune_identical, GumTreeParams, MatchParams,
+    fast_match_seeded, gumtree_match, prune_identical, prune_identical_indexed, GumTreeParams,
+    MatchParams,
 };
-use hierdiff::tree::{NodeValue, Tree};
+use hierdiff::tree::{FingerprintIndex, NodeValue, Tree};
 use hierdiff::workload::{generate_document, perturb, DocProfile, EditMix};
 use hierdiff::{Audit, DiffResult, Differ, MatchStrategy};
 use hierdiff_doc::DocValue;
@@ -315,4 +316,56 @@ fn anchor_truncation_is_invisible() {
         anchored * 2 > runs,
         "only {anchored} of {runs} runs carried anchors"
     );
+}
+
+/// `t` with the compact flag cleared and every id kept: the root's first
+/// child moves onto its own position. (An insert-then-delete twin would
+/// keep a dead slot, so the ids of nodes a script inserts would shift.)
+fn dirty_twin<V: NodeValue>(t: &Tree<V>) -> Tree<V> {
+    let mut d = t.clone();
+    let first = d.children(d.root())[0];
+    d.move_subtree(first, d.root(), 0).unwrap();
+    assert!(t.is_compact() && !d.is_compact());
+    d
+}
+
+/// Everything `run_case` renders, plus the seed the serve path prunes from
+/// prebuilt fingerprint indexes.
+fn layout_transcript<V: NodeValue>(name: &str, t1: &Tree<V>, t2: &Tree<V>) -> String {
+    let mut out = String::new();
+    run_case(&mut out, name, t1, t2);
+    let (idx1, idx2) = (FingerprintIndex::build(t1), FingerprintIndex::build(t2));
+    let (seed, stats) = prune_identical_indexed(t1, &idx1, t2, &idx2).unwrap();
+    writeln!(out, "  indexed seed: {:?}", seed.iter().collect::<Vec<_>>()).unwrap();
+    writeln!(out, "  indexed anchors: {:?}", seed.anchors()).unwrap();
+    writeln!(out, "  indexed stats: {stats:?}").unwrap();
+    out
+}
+
+fn assert_layout_invisible<V: NodeValue>(name: &str, t1: &Tree<V>, t2: &Tree<V>) {
+    let compacted = |t: &Tree<V>| {
+        let mut c = t.clone();
+        c.compact();
+        c
+    };
+    let (c1, c2) = (compacted(t1), compacted(t2));
+    let compact = layout_transcript(name, &c1, &c2);
+    let dirty = layout_transcript(name, &dirty_twin(&c1), &dirty_twin(&c2));
+    for (line, (a, b)) in (1usize..).zip(compact.lines().zip(dirty.lines())) {
+        assert_eq!(a, b, "{name}: compact and dirty runs differ at line {line}");
+    }
+    assert_eq!(compact, dirty, "{name}: transcript lengths differ");
+}
+
+/// The compact fast paths (preorder scans, interval arithmetic, prefix
+/// counts) and the pointer-walk fallbacks give byte-identical pipeline
+/// outputs on the same ids.
+#[test]
+fn compact_layout_is_invisible() {
+    for (name, old, new) in FIXTURE_PAIRS {
+        assert_layout_invisible(name, &load_fixture(old), &load_fixture(new));
+    }
+    for (name, t1, t2) in &random_corpus() {
+        assert_layout_invisible(name, t1, t2);
+    }
 }

@@ -226,7 +226,10 @@ fn lcs_exhaustion_with_observer_degrades_audit_clean() {
         r.degraded.matching,
         "LCS budget must have degraded the match"
     );
-    assert!(isomorphic(&r.mces.edited, &new), "degraded yet conforming");
+    assert!(
+        isomorphic(&r.mces.replay_on(&old).unwrap(), &new),
+        "degraded yet conforming"
+    );
     assert!(r.audit.expect("audit on").is_clean());
     assert!(
         obs.seen().contains(&(Phase::Match, Boundary::End)),

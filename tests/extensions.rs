@@ -4,7 +4,7 @@
 //! over workload corpora.
 
 use hierdiff::delta::{build_delta_tree, extract_script, ChangeKind};
-use hierdiff::edit::{apply, edit_script, invert_script};
+use hierdiff::edit::{apply, edit_script, invert_script, verify_result};
 use hierdiff::matching::{fast_match, match_by_key, match_quality, MatchParams};
 use hierdiff::tree::{isomorphic, Label, Tree};
 use hierdiff::workload::{generate_document, ground_truth_matching, perturb, DocProfile, EditMix};
@@ -117,7 +117,7 @@ fn hybrid_levels_monotone_quality() {
             );
             last_f1 = last_f1.max(q.f1());
             let res = edit_script(&t1, &t2, &h.matching).unwrap();
-            assert!(isomorphic(&res.replay_on(&t1).unwrap(), &res.edited));
+            verify_result(&t1, &t2, &h.matching, &res).unwrap();
         }
     }
 }

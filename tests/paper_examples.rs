@@ -33,7 +33,7 @@ fn running_example_end_to_end() {
     assert_eq!(counts.moves, 1, "script: {}", result.script);
     assert_eq!(counts.inserts, 1);
     assert_eq!(counts.total(), 2);
-    assert!(isomorphic(&result.mces.edited, &t2));
+    assert!(isomorphic(&result.mces.replay_on(&t1).unwrap(), &t2));
 
     // The delta tree mirrors the script: one MOV/MRK pair, one INS.
     let delta = result.delta.unwrap();

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use hierdiff::edit::{edit_script, weighted_edit_distance, CostModel, Matching};
+use hierdiff::edit::{edit_script, verify_result, weighted_edit_distance, CostModel, Matching};
 use hierdiff::guard::Guard;
 use hierdiff::matching::{
     fast_match, fast_match_seeded, prune_identical, MatchParams, MatchResult,
@@ -107,8 +107,7 @@ proptest! {
         let mut m = Matching::new();
         m.insert(t1.root(), t2.root()).unwrap();
         let res = edit_script(&t1, &t2, &m).unwrap();
-        let replayed = res.replay_on(&t1).unwrap();
-        prop_assert!(isomorphic(&replayed, &res.edited));
+        prop_assert_eq!(verify_result(&t1, &t2, &m, &res), Ok(()));
     }
 
     /// With the FastMatch matching, the same holds, and the script length
@@ -122,8 +121,7 @@ proptest! {
         let matched = fast_match(&t1, &t2, MatchParams::default()).unwrap();
         let res = edit_script(&t1, &t2, &matched.matching).unwrap();
         prop_assert!(res.script.len() <= t1.len() + t2.len() + 2);
-        let replayed = res.replay_on(&t1).unwrap();
-        prop_assert!(isomorphic(&replayed, &res.edited));
+        prop_assert_eq!(verify_result(&t1, &t2, &matched.matching, &res), Ok(()));
     }
 
     /// Self-diff is empty: matching a tree against itself finds the
@@ -148,8 +146,7 @@ proptest! {
         let t2 = apply_random_edits(&t1, &ops);
         let matched = fast_match(&t1, &t2, MatchParams::default()).unwrap();
         let res = edit_script(&t1, &t2, &matched.matching).unwrap();
-        let replayed = res.replay_on(&t1).unwrap();
-        prop_assert!(isomorphic(&replayed, &res.edited));
+        prop_assert_eq!(verify_result(&t1, &t2, &matched.matching, &res), Ok(()));
 
         // Weighted distance recomputed by replay agrees with the stats.
         if !res.wrapped {
@@ -204,8 +201,7 @@ proptest! {
             }
         }
         let res = edit_script(&t1, &t2, &m).unwrap();
-        let replayed = res.replay_on(&t1).unwrap();
-        prop_assert!(isomorphic(&replayed, &res.edited));
+        prop_assert_eq!(verify_result(&t1, &t2, &m, &res), Ok(()));
         prop_assert!(hierdiff::edit::conforms_to(&res.script, &m));
         prop_assert!(m.is_subset_of(&res.total_matching));
     }
@@ -247,8 +243,8 @@ proptest! {
     ) {
         let t2 = apply_random_edits(&t1, &ops);
         let r = Differ::new().delta(false).prune(true).diff(&t1, &t2).unwrap();
+        prop_assert_eq!(verify_result(&t1, &t2, &r.matching, &r.mces), Ok(()));
         let replayed = r.mces.replay_on(&t1).unwrap();
-        prop_assert!(isomorphic(&replayed, &r.mces.edited));
         if !r.mces.wrapped {
             prop_assert!(isomorphic(&replayed, &t2), "apply(script, T1) != T2");
         }

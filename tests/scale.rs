@@ -5,9 +5,8 @@
 
 use std::time::Instant;
 
-use hierdiff::edit::edit_script;
+use hierdiff::edit::{edit_script, verify_result};
 use hierdiff::matching::{fast_match, fastmatch_bound, BoundInputs, MatchParams};
-use hierdiff::tree::isomorphic;
 use hierdiff::workload::{generate_document, perturb, DocProfile, EditMix};
 
 fn big_profile() -> DocProfile {
@@ -37,8 +36,7 @@ fn large_document_pipeline() {
     let elapsed = start.elapsed();
 
     // Correctness at scale.
-    let replayed = res.replay_on(&t1).unwrap();
-    assert!(isomorphic(&replayed, &res.edited));
+    verify_result(&t1, &t2, &matched.matching, &res).unwrap();
 
     // The measured comparisons respect the Appendix B bound.
     let inputs = BoundInputs {
@@ -132,8 +130,7 @@ fn deep_chain_no_stack_overflow() {
     let matched = fast_match(&t1, &t2, MatchParams::default()).unwrap();
     let res = edit_script(&t1, &t2, &matched.matching).unwrap();
     assert_eq!(res.script.op_counts().updates, 1, "script: {}", res.script);
-    let replayed = res.replay_on(&t1).unwrap();
-    assert!(isomorphic(&replayed, &res.edited));
+    verify_result(&t1, &t2, &matched.matching, &res).unwrap();
 }
 
 /// Wide trees: one paragraph with 20k sentences, a handful of edits.
@@ -162,5 +159,5 @@ fn very_wide_parent() {
     let c = res.script.op_counts();
     assert_eq!(c.deletes, 1);
     assert_eq!(c.moves, 1, "script has {} moves", c.moves);
-    assert!(isomorphic(&res.replay_on(&t1).unwrap(), &res.edited));
+    verify_result(&t1, &t2, &matched.matching, &res).unwrap();
 }

@@ -43,7 +43,7 @@ fn script_json_roundtrip_and_replay() {
     if !res.wrapped {
         let mut replayed = t1.clone();
         apply(&mut replayed, &back).unwrap();
-        assert!(isomorphic(&replayed, &res.edited));
+        assert!(isomorphic(&replayed, &t2));
     }
 }
 

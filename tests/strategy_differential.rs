@@ -16,11 +16,10 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use hierdiff::tree::{isomorphic, Label, NodeValue, Tree};
+use hierdiff::edit::verify_result;
+use hierdiff::tree::{NodeValue, Tree};
 use hierdiff::workload::{generate_document, perturb, DocProfile, EditMix};
-use hierdiff::{
-    zs_budget, Audit, DiffResult, Differ, FastMatchConfig, GumTreeParams, MatchStrategy,
-};
+use hierdiff::{zs_budget, Audit, Differ, FastMatchConfig, GumTreeParams, MatchStrategy};
 use hierdiff_doc::DocValue;
 
 /// Every strategy the API exposes, FastMatch with the `A(k)` recovery
@@ -54,16 +53,6 @@ fn strategies() -> Vec<(&'static str, MatchStrategy)> {
     ]
 }
 
-/// `T2` itself, or the dummy-wrapped `T2` when EditScript wrapped both
-/// trees because the roots were unmatched (Section 3.2's reduction).
-fn conformance_target<V: NodeValue>(r: &DiffResult<V>, new: &Tree<V>) -> Tree<V> {
-    let mut target = new.clone();
-    if r.mces.wrapped {
-        target.wrap_root(Label::intern(hierdiff::edit::DUMMY_ROOT_LABEL), V::null());
-    }
-    target
-}
-
 /// Runs one strategy over one pair and asserts the full contract.
 fn assert_sound<V: NodeValue>(
     case: &str,
@@ -77,18 +66,10 @@ fn assert_sound<V: NodeValue>(
         .audit(Audit::On)
         .diff(old, new)
         .unwrap_or_else(|e| panic!("{case}/{variant}: pipeline failed: {e}"));
-    let replayed = r
-        .mces
-        .replay_on(old)
-        .unwrap_or_else(|e| panic!("{case}/{variant}: replay failed: {e}"));
-    assert!(
-        isomorphic(&replayed, &r.mces.edited),
-        "{case}/{variant}: replay diverged from the edited tree"
-    );
-    assert!(
-        isomorphic(&r.mces.edited, &conformance_target(&r, new)),
-        "{case}/{variant}: edited tree does not conform to T2"
-    );
+    // Conformance to the matching, a clean replay, and a replayed tree
+    // isomorphic to T2 (both dummy-wrapped when the roots were unmatched).
+    verify_result(old, new, &r.matching, &r.mces)
+        .unwrap_or_else(|e| panic!("{case}/{variant}: {e}"));
     let report = r.audit.as_ref().expect("audit was requested");
     assert!(
         report.is_clean(),

@@ -4,7 +4,7 @@
 //! matching ([Zha95]'s "best matching") fed into EditScript always yields a
 //! correct script.
 
-use hierdiff::edit::{edit_script, CostModel, Matching};
+use hierdiff::edit::{edit_script, verify_result, CostModel, Matching};
 use hierdiff::guard::Guard;
 use hierdiff::matching::{
     check_criterion3, fast_match, fast_match_seeded, prune_identical, MatchParams, MatchResult,
@@ -47,8 +47,7 @@ fn zs_mapping_drives_editscript() {
             }
         }
         let res = edit_script(&t1, &t2, &m).unwrap();
-        let replayed = res.replay_on(&t1).unwrap();
-        assert!(isomorphic(&replayed, &res.edited), "seed {seed}");
+        verify_result(&t1, &t2, &m, &res).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 
@@ -127,10 +126,16 @@ fn randomized_differential_vs_zs_with_and_without_pruning() {
             let accel_res = edit_script(&t1, &t2, &accel.matching).unwrap();
             let accel_cost = accel_res.cost_on(&t1, &CostModel::paper()).unwrap();
 
-            // Both scripts are conforming: replaying them on T1 yields the
-            // edited tree, which is isomorphic to T2.
-            assert!(isomorphic(&plain_res.edited, &t2), "seed {seed}/{edits}");
-            assert!(isomorphic(&accel_res.edited, &t2), "seed {seed}/{edits}");
+            // Both scripts are conforming: replaying them on T1 yields a
+            // tree isomorphic to T2.
+            assert!(
+                isomorphic(&plain_res.replay_on(&t1).unwrap(), &t2),
+                "seed {seed}/{edits}"
+            );
+            assert!(
+                isomorphic(&accel_res.replay_on(&t1).unwrap(), &t2),
+                "seed {seed}/{edits}"
+            );
 
             // Documented bound (see fastmatch_cost_near_zs_optimum_...):
             // within a small multiplicative factor of the ZS optimum.
