@@ -25,13 +25,19 @@ use crate::report::Finding;
 use crate::resolve::{CallGraph, FnNode, KEYWORDS};
 
 /// The designated entrypoints: `(file suffix, fn name)`. The `Differ`
-/// facade (single and batch) and the two CLI mains.
+/// facade (single and batch), the two CLI mains, and the resident
+/// `DiffService` (construction, ingest and the two request forms).
 pub const ENTRYPOINTS: &[(&str, &str)] = &[
     ("crates/core/src/differ.rs", "diff"),
     ("crates/core/src/differ.rs", "diff_batch"),
     ("crates/core/src/differ.rs", "diff_batch_with"),
     ("crates/core/src/bin/treediff.rs", "main"),
     ("crates/doc/src/bin/ladiff.rs", "main"),
+    ("crates/serve/src/service.rs", "new"),
+    ("crates/serve/src/service.rs", "with_chaos"),
+    ("crates/serve/src/service.rs", "ingest"),
+    ("crates/serve/src/service.rs", "request"),
+    ("crates/serve/src/service.rs", "diff"),
 ];
 
 /// The panic-family macros with the `L0xx` code each carries when

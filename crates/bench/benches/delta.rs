@@ -1,9 +1,8 @@
 //! Benchmarks for the delta-tree layer (Section 6): construction from a
-//! diff, both renderers, the query API, and script extraction, across
-//! document sizes.
+//! diff, both renderers, and script extraction, across document sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hierdiff_delta::{build_delta_tree, extract_script, render_text, ChangeKind};
+use hierdiff_delta::{build_delta_tree, extract_script, render_text};
 use hierdiff_doc::render_html;
 use hierdiff_edit::edit_script;
 use hierdiff_matching::{fast_match, MatchParams};
@@ -39,29 +38,17 @@ fn bench_build(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_render_and_query(c: &mut Criterion) {
+fn bench_render_and_extract(c: &mut Criterion) {
     let (t1, t2, m, res) = setup(8);
     let delta = build_delta_tree(&t1, &t2, &m, &res);
     let mut g = c.benchmark_group("delta/consume");
     g.bench_function("render_text", |b| b.iter(|| render_text(&delta).len()));
     g.bench_function("render_html", |b| b.iter(|| render_html(&delta).len()));
-    g.bench_function("query_changed", |b| {
-        b.iter(|| delta.query().changed().count())
-    });
-    g.bench_function("query_inserted_sentences", |b| {
-        b.iter(|| {
-            delta
-                .query()
-                .kind(ChangeKind::Inserted)
-                .with_label(hierdiff_doc::labels::sentence())
-                .count()
-        })
-    });
     g.bench_function("extract_script", |b| {
         b.iter(|| extract_script(&delta).expect("correct delta").script.len())
     });
     g.finish();
 }
 
-criterion_group!(benches, bench_build, bench_render_and_query);
+criterion_group!(benches, bench_build, bench_render_and_extract);
 criterion_main!(benches);

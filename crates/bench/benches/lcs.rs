@@ -1,4 +1,4 @@
-//! Ablation bench: Myers O(ND) vs quadratic DP vs Hirschberg, across input
+//! Ablation bench: Myers O(ND) vs quadratic DP, across input
 //! similarity — justifying the paper's choice of [Mye86] for near-identical
 //! sequences (FastMatch chains, child alignment) — plus the LaDiff sentence
 //! compare itself (`hierdiff_doc::word_distance`, the bit-parallel word-LCS
@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hierdiff_doc::word_distance;
 use hierdiff_guard::Guard;
-use hierdiff_lcs::{lcs_dp, lcs_hirschberg, lcs_myers, LcsStats};
+use hierdiff_lcs::{lcs_dp, lcs_myers, LcsStats};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Builds two sequences of length `n` differing in `edits` random
@@ -36,9 +36,6 @@ fn bench_similarity_sweep(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("dp", edits), &edits, |bench, _| {
             bench.iter(|| lcs_dp(&a, &b, |x, y| x == y).len())
-        });
-        g.bench_with_input(BenchmarkId::new("hirschberg", edits), &edits, |bench, _| {
-            bench.iter(|| lcs_hirschberg(&a, &b, |x, y| x == y).len())
         });
     }
     g.finish();

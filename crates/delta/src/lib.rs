@@ -4,7 +4,7 @@
 //! tree as 'overlaying' an edit script onto the data using node
 //! annotations." Where an edit script is flat and id-based, a delta tree is
 //! hierarchical and positional — the representation LaDiff renders from
-//! (Section 7), and the natural shape for querying and browsing deltas.
+//! (Section 7).
 //!
 //! Each node carries exactly one [`Annotation`]:
 //!
@@ -28,17 +28,11 @@
 
 mod build;
 mod extract;
-mod feed;
-mod query;
 mod render;
-mod rules;
 
 pub use build::build_delta_tree;
 pub use extract::{extract_script, ExtractedScript};
-pub use feed::{change_feed, ChangeRecord, FeedKind};
-pub use query::{ChangeKind, DeltaQuery};
 pub use render::render_text;
-pub use rules::{Firing, Rule, RuleSet};
 
 use hierdiff_tree::{Label, NodeValue, Tree};
 use serde::{Deserialize, Serialize};

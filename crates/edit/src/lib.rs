@@ -39,7 +39,6 @@ mod apply;
 mod conform;
 mod cost;
 mod distance;
-mod invert;
 mod matching;
 mod mces;
 mod ops;
@@ -48,7 +47,6 @@ pub use apply::{apply, apply_script, ApplyCtx, ApplyError};
 pub use conform::{conforms_to, verify_result, VerifyError};
 pub use cost::{script_cost, CostModel};
 pub use distance::{unweighted_edit_distance, weighted_edit_distance};
-pub use invert::invert_script;
 pub use matching::{Matching, MatchingError};
 pub use mces::{
     edit_script, edit_script_guarded, EditScriptError, McesError, McesResult, McesStats,

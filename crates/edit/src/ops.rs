@@ -156,43 +156,6 @@ impl<V: NodeValue> EditScript<V> {
     pub fn iter(&self) -> std::slice::Iter<'_, EditOp<V>> {
         self.ops.iter()
     }
-
-    /// Rewrites every node reference through `f`. Needed when replaying a
-    /// stored script against a tree whose ids have drifted (e.g. a
-    /// version store chaining inverse deltas, where re-inserted nodes get
-    /// fresh ids — see the `version_store` example).
-    pub fn map_ids(&self, mut f: impl FnMut(NodeId) -> NodeId) -> EditScript<V> {
-        let ops = self
-            .ops
-            .iter()
-            .map(|op| match op {
-                EditOp::Insert {
-                    node,
-                    label,
-                    value,
-                    parent,
-                    pos,
-                } => EditOp::Insert {
-                    node: f(*node),
-                    label: *label,
-                    value: value.clone(),
-                    parent: f(*parent),
-                    pos: *pos,
-                },
-                EditOp::Delete { node } => EditOp::Delete { node: f(*node) },
-                EditOp::Update { node, value } => EditOp::Update {
-                    node: f(*node),
-                    value: value.clone(),
-                },
-                EditOp::Move { node, parent, pos } => EditOp::Move {
-                    node: f(*node),
-                    parent: f(*parent),
-                    pos: *pos,
-                },
-            })
-            .collect();
-        EditScript { ops }
-    }
 }
 
 impl<V: NodeValue> IntoIterator for EditScript<V> {
@@ -316,28 +279,6 @@ mod tests {
         assert!(text.contains("MOV(n5, n11, 0)"));
         assert!(text.contains("DEL(n2)"));
         assert!(text.contains("UPD(n9, \"baz\")"));
-    }
-
-    #[test]
-    fn map_ids_rewrites_all_references() {
-        let s = sample_script();
-        let shifted = s.map_ids(|id| NodeId::from_index(id.index() + 100));
-        match &shifted.ops()[0] {
-            EditOp::Insert { node, parent, .. } => {
-                assert_eq!(*node, n(111));
-                assert_eq!(*parent, n(101));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match &shifted.ops()[1] {
-            EditOp::Move { node, parent, .. } => {
-                assert_eq!(*node, n(105));
-                assert_eq!(*parent, n(111));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(shifted.ops()[2].node(), n(102));
-        assert_eq!(shifted.ops()[3].node(), n(109));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! to equality comparisons" — hence every algorithm here needs only an
 //! equality predicate.
 //!
-//! Three implementations are provided and cross-checked by property tests:
+//! Two implementations are provided and cross-checked by tests:
 //!
 //! * [`lcs_myers`] — Myers' O(ND) greedy algorithm \[Mye86\], the one the
 //!   paper uses (`N = |S1| + |S2|`, `D = N − 2|LCS|`). Fast when the
@@ -29,20 +29,16 @@
 //! * [`lcs_dp`] — the classic O(N·M) dynamic program. Simple, predictable;
 //!   the oracle for tests (including the sentence-compare kernel's
 //!   differential test) and a baseline in `benches/lcs.rs`.
-//! * [`lcs_hirschberg`] — linear-space divide-and-conquer DP, for very long
-//!   sequences where the quadratic table would not fit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod diffops;
 mod dp;
-mod hirschberg;
 mod myers;
 
 pub use diffops::{sequence_diff, SeqEdit};
 pub use dp::lcs_dp;
-pub use hirschberg::lcs_hirschberg;
 pub use myers::lcs_myers;
 
 /// A pair of indices `(i, j)` meaning `S1[i]` is matched with `S2[j]` in the
@@ -121,11 +117,7 @@ mod tests {
         let b = [1, 5, 7, 9];
         let mut stats = LcsStats::default();
         let myers = lcs_myers(&a, &b, |x, y| x == y, &mut stats, &Guard::unlimited()).unwrap();
-        for pairs in [
-            myers,
-            lcs_dp(&a, &b, |x, y| x == y),
-            lcs_hirschberg(&a, &b, |x, y| x == y),
-        ] {
+        for pairs in [myers, lcs_dp(&a, &b, |x, y| x == y)] {
             assert_eq!(pairs.len(), 3, "{pairs:?}");
             assert!(is_common_subsequence(&pairs, &a, &b, |x, y| x == y));
         }

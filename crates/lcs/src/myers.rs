@@ -7,8 +7,7 @@
 //! and in child alignment — run in near-linear time.
 //!
 //! The backtracking trace stores the frontier of each round, so memory is
-//! O(D²). For pathologically dissimilar long sequences prefer
-//! [`crate::lcs_hirschberg`], which is O(min(|a|,|b|)) space.
+//! O(D²).
 
 use hierdiff_guard::{Guard, GuardError};
 

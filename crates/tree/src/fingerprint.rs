@@ -40,12 +40,12 @@ impl Hasher for FpHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        let (words, rest) = bytes.as_chunks::<8>();
+        for &w in words {
+            self.add(u64::from_le_bytes(w));
         }
         let mut tail = bytes.len() as u64;
-        for &b in chunks.remainder() {
+        for &b in rest {
             tail = (tail << 8) | u64::from(b);
         }
         self.add(tail);

@@ -120,6 +120,16 @@ proptest! {
         for op in &ops {
             apply_spec(&mut t, op);
             prop_assert!(t.validate().is_ok(), "after {op:?}: {:?}", t.validate());
+            // A serde round trip re-derives the layout from the arena
+            // alone: it validates, and comes back compact exactly when the
+            // ids are preorder ranks with no dead slot.
+            let json = serde_json::to_string(&t).expect("serializes");
+            let back: Tree<String> = serde_json::from_str(&json).expect("deserializes");
+            prop_assert!(back.validate().is_ok(), "after {op:?}: {:?}", back.validate());
+            prop_assert!(isomorphic(&t, &back));
+            let preorder_ids = t.arena_len() == t.len()
+                && t.preorder().enumerate().all(|(rank, id)| id.index() == rank);
+            prop_assert_eq!(back.is_compact(), preorder_ids, "after {:?}", op);
         }
         // Derived quantities stay consistent.
         prop_assert_eq!(t.preorder().count(), t.len());

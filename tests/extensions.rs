@@ -1,38 +1,17 @@
-//! Integration tests for the Section 9 extensions: script inversion, delta
-//! queries, delta-script extraction, the A(k) matcher (FastMatch with
-//! bounded recovery), keyed matching, and HTML output — exercised together
-//! over workload corpora.
+//! Integration tests for the extensions beyond the core pipeline:
+//! delta-script extraction (§6 delta correctness made executable), the
+//! A(k) matcher (FastMatch with bounded recovery), keyed matching, and HTML
+//! output — exercised together over workload corpora.
 
-use hierdiff::delta::{build_delta_tree, extract_script, ChangeKind};
-use hierdiff::edit::{apply, edit_script, invert_script, verify_result};
+use hierdiff::delta::{build_delta_tree, extract_script};
+use hierdiff::edit::{apply, edit_script, verify_result};
 use hierdiff::matching::{fast_match, match_by_key, match_quality, MatchParams};
 use hierdiff::tree::{isomorphic, Label, Tree};
 use hierdiff::workload::{generate_document, ground_truth_matching, perturb, DocProfile, EditMix};
 use hierdiff::{zs_budget, Differ, FastMatchConfig, MatchStrategy};
 
-/// Forward + inverse across many random corpora: the undo loop of the
-/// version-management scenario.
-#[test]
-fn invert_roundtrips_on_corpora() {
-    let profile = DocProfile::small();
-    for seed in 0..8u64 {
-        let t1 = generate_document(900 + seed, &profile);
-        let (t2, _) = perturb(&t1, 950 + seed, 10, &EditMix::default(), &profile);
-        let matched = fast_match(&t1, &t2, MatchParams::default()).unwrap();
-        let res = edit_script(&t1, &t2, &matched.matching).unwrap();
-        if res.wrapped {
-            continue; // inverse is defined against the wrapped tree
-        }
-        let inverse = invert_script(&t1, &res.script).unwrap();
-        let mut tree = t1.clone();
-        apply(&mut tree, &res.script).unwrap();
-        apply(&mut tree, &inverse).unwrap();
-        assert!(isomorphic(&tree, &t1), "seed {seed}");
-    }
-}
-
-/// Delta queries agree with annotation counts, and extraction reproduces a
-/// script whose counts mirror the annotations, corpus-wide.
+/// Every move has one marker, and extraction reproduces a script whose
+/// counts mirror the annotations, corpus-wide.
 #[test]
 fn delta_query_and_extract_consistency() {
     let profile = DocProfile::small();
@@ -44,19 +23,6 @@ fn delta_query_and_extract_consistency() {
         let delta = build_delta_tree(&t1, &t2, &matched.matching, &res);
 
         let counts = delta.annotation_counts();
-        assert_eq!(
-            delta.query().kind(ChangeKind::Inserted).count(),
-            counts.inserted
-        );
-        assert_eq!(
-            delta.query().kind(ChangeKind::Deleted).count(),
-            counts.deleted
-        );
-        assert_eq!(delta.query().kind(ChangeKind::Moved).count(), counts.moved);
-        assert_eq!(
-            delta.query().kind(ChangeKind::Markers).count(),
-            counts.markers
-        );
         assert_eq!(
             counts.moved, counts.markers,
             "every MOV has exactly one MRK"
@@ -70,20 +36,6 @@ fn delta_query_and_extract_consistency() {
         assert_eq!(ops.inserts, counts.inserted, "seed {seed}");
         assert_eq!(ops.deletes, counts.deleted, "seed {seed}");
         assert_eq!(ops.moves, counts.moved, "seed {seed}");
-    }
-}
-
-/// Every query path resolves to a real node (path syntax sanity).
-#[test]
-fn delta_paths_resolve() {
-    let t1 = generate_document(123, &DocProfile::small());
-    let (t2, _) = perturb(&t1, 124, 6, &EditMix::default(), &DocProfile::small());
-    let r = Differ::new().diff(&t1, &t2).unwrap();
-    let delta = r.delta.unwrap();
-    for id in delta.query().changed().collect() {
-        let path = delta.path_of(id);
-        assert!(path.starts_with("Document"), "{path}");
-        assert!(path.contains('['), "{path}");
     }
 }
 
