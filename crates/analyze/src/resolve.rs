@@ -50,7 +50,6 @@ pub const EXTERNAL_ROOTS: &[&str] = &[
     "serde",
     "serde_json",
     "proptest",
-    "criterion",
 ];
 
 /// The crate directory name of a `crates/<dir>/src/...` path.

@@ -3,9 +3,10 @@
 //! These re-express [`Tree::validate`]'s invariants as structured
 //! diagnostics: exactly one live root, mutually consistent parent/child
 //! links, no dead node reachable from the root, and an accurate live count.
-//! A healthy [`Tree`] cannot violate them through its public API; the checks
-//! exist for trees reconstructed from external data (serde, tampered
-//! fixtures) and as a cheap tripwire at diff-stage boundaries.
+//! A healthy [`Tree`] cannot violate them through its public API, and
+//! deserialization rejects wire data that would (it runs
+//! [`Tree::validate`]); the checks remain a cheap tripwire at diff-stage
+//! boundaries.
 
 use hierdiff_tree::{NodeValue, Tree};
 
@@ -107,7 +108,7 @@ pub fn audit_tree<V: NodeValue>(tree: &Tree<V>, side: Side) -> AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{elem_mut, field_mut, from_tampered, to_tamperable};
+    use crate::testutil::{elem_mut, field_mut, to_tamperable};
     use hierdiff_tree::{NodeId, Tree};
 
     /// Mutable view of node `i`'s field `key` in a serialized tree.
@@ -130,14 +131,13 @@ mod tests {
 
     #[test]
     fn serde_tampered_parent_link_is_caught() {
+        // A002's invariant is enforced at the deserialization boundary,
+        // before any checker runs.
         let t = Tree::parse_sexpr(r#"(D (S "a") (S "b"))"#).unwrap();
         let mut v = to_tamperable(&t);
         // Point the second leaf's parent at the first leaf.
         *node_field_mut(&mut v, 2, "parent") = to_tamperable(&Some(NodeId::from_index(1)));
-        let bad: Tree<String> = from_tampered(v);
-        let r = audit_tree(&bad, Side::Old);
-        assert!(r.has_code(Code::A002), "{r}");
-        assert!(!r.is_clean());
+        assert!(serde::de::from_value::<Tree<String>>(v).is_err());
     }
 
     #[test]
@@ -148,25 +148,20 @@ mod tests {
         let mut v = to_tamperable(&t);
         *field_mut(&mut v, "live") = to_tamperable(&5usize);
         assert!(serde::de::from_value::<Tree<String>>(v).is_err());
-        // Count drift that survives the boundary checks — a live node
-        // missing from every child list, hence unreachable — is the
-        // checker's job: A004.
+        // So is subtler count drift: a live node missing from every child
+        // list, hence unreachable (A004's invariant).
         let t = Tree::parse_sexpr(r#"(D (S "a") (S "b"))"#).unwrap();
         let mut v = to_tamperable(&t);
         *node_field_mut(&mut v, 0, "children") = to_tamperable(&vec![NodeId::from_index(1)]);
-        let bad: Tree<String> = from_tampered(v);
-        let r = audit_tree(&bad, Side::New);
-        assert!(r.has_code(Code::A004), "{r}");
+        assert!(serde::de::from_value::<Tree<String>>(v).is_err());
     }
 
     #[test]
-    fn shared_child_is_a002() {
+    fn shared_child_is_rejected_on_load() {
         let t = Tree::parse_sexpr(r#"(D (P (S "a")) (P (S "b")))"#).unwrap();
         let mut v = to_tamperable(&t);
-        // Both P nodes claim the same S leaf as a child.
+        // Both P nodes claim the same S leaf as a child (A002's invariant).
         *node_field_mut(&mut v, 3, "children") = to_tamperable(&vec![NodeId::from_index(2)]);
-        let bad: Tree<String> = from_tampered(v);
-        let r = audit_tree(&bad, Side::Old);
-        assert!(r.has_code(Code::A002), "{r}");
+        assert!(serde::de::from_value::<Tree<String>>(v).is_err());
     }
 }

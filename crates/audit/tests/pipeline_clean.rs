@@ -44,8 +44,8 @@ fn figure4_example_audits_clean() {
 #[test]
 fn workload_document_audits_clean() {
     // A ~2k-node document through the full audited pipeline, pruned and
-    // unpruned. (The 10k-node + overhead measurement lives in the release
-    // bench `audit_overhead`; this keeps the tier-1 suite fast.)
+    // unpruned. (The 10k-node + overhead measurement is the audit arm of
+    // the release example `overhead_gate`; this keeps the tier-1 suite fast.)
     let profile = DocProfile {
         sections: 90,
         ..DocProfile::default()

@@ -3,7 +3,8 @@
 //!
 //! ```text
 //! experiments [all|fig13a|fig13b|table1|table2|zs-compare|
-//!              editscript-scaling|postprocess|align-ablation]...
+//!              editscript-scaling|postprocess|align-ablation|ak-sweep|
+//!              accuracy|prematch-ablation|batch-schedule|kernels]...
 //! ```
 
 #![forbid(unsafe_code)]
@@ -32,6 +33,7 @@ fn main() {
             "accuracy" => exp::accuracy(),
             "prematch-ablation" => exp::prematch_ablation(),
             "batch-schedule" => exp::batch_schedule(),
+            "kernels" => exp::kernels(),
             other => {
                 eprintln!("unknown experiment {other:?}");
                 std::process::exit(2);

@@ -6,7 +6,7 @@
 //! hardware), but each report states the *shape* the paper claims and the
 //! measured counterpart so EXPERIMENTS.md can record paper-vs-measured.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::time::Instant;
 
 use crate::must;
@@ -21,8 +21,9 @@ use hierdiff_workload::{
     EditMix,
 };
 use hierdiff_zs::{tree_distance, UnitCost};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::measure::{linear_fit, WhichMatcher};
+use crate::measure::{linear_fit, median, time_median, WhichMatcher};
 use crate::table::{f1, f2, n, Table};
 
 /// E1 — Figure 13(a): weighted (`e`) vs unweighted (`d`) edit distance
@@ -352,10 +353,6 @@ pub fn zs_compare() -> String {
                     .expect("generated script replays"),
             );
         }
-        let median = |v: &mut Vec<f64>| -> f64 {
-            v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-            v[v.len() / 2]
-        };
         let ch = median(&mut chawathe_times);
         let zs = median(&mut zs_times);
         table.row(&[
@@ -403,20 +400,12 @@ pub fn editscript_scaling() -> String {
         let matched = must(fast_match(&t1, &t2, MatchParams::default()));
         // Median of repeated timed runs: the per-run cost is microseconds,
         // so single samples are noise.
-        let mut times = Vec::new();
-        let mut res = None;
-        for _ in 0..9 {
-            let start = Instant::now();
-            res = Some(edit_script(&t1, &t2, &matched.matching).expect("live matching"));
-            times.push(start.elapsed());
-        }
-        times.sort();
-        let res = res.expect("at least one run");
+        let (secs, res) = time_median(9, || must(edit_script(&t1, &t2, &matched.matching)));
         table.row(&[
             n(moves),
             n(res.stats.intra_moves),
             n(res.script.len()),
-            format!("{:.0}", times[times.len() / 2].as_secs_f64() * 1e6),
+            format!("{:.0}", secs * 1e6),
         ]);
     }
     out.push_str(&table.to_markdown());
@@ -910,6 +899,239 @@ pub fn batch_schedule() -> String {
     out
 }
 
+/// Timed runs per [`kernels`] row.
+const KERNEL_RUNS: usize = 9;
+
+/// Kernels — the wall times no other report carries: Myers vs DP LCS
+/// across input similarity (the paper's choice of Myers \[Mye86\] for
+/// near-identical sequences), the LaDiff sentence compare `word_distance`,
+/// Zhang–Shasha on section pairs of the size GumTree's recovery feeds it,
+/// Algorithm Match vs FastMatch, keyed vs content matching (the §1 "unique
+/// identifiers" fast path), and the delta layer (build, both renderers,
+/// script extraction). Each row is the median of `KERNEL_RUNS` (9) runs; the
+/// output column is the call's result (pairs, matched nodes, bytes, ops),
+/// so every row also shows that its body ran.
+pub fn kernels() -> String {
+    use hierdiff_delta::{build_delta_tree, extract_script, render_text};
+    use hierdiff_doc::{render_html, word_distance};
+    use hierdiff_guard::Guard;
+    use hierdiff_lcs::{lcs_dp, lcs_myers, LcsStats};
+    use hierdiff_matching::{match_by_key, match_keyed_then_content, match_simple};
+    use hierdiff_zs::tree_mapping;
+
+    let mut out = String::from("## Kernels — median wall time per call\n\n");
+    let mut t = Table::new(&["kernel", "input", "median (µs)", "output"]);
+    let params = MatchParams::default();
+
+    for edits in [2usize, 32, 256] {
+        let (a, b) = similar_pair(1024, edits, 7);
+        let input = format!("1024 ints, {edits} subs");
+        kernel_row(&mut t, "lcs_myers", &input, || {
+            let mut stats = LcsStats::default();
+            must(lcs_myers(
+                &a,
+                &b,
+                |x, y| x == y,
+                &mut stats,
+                &Guard::unlimited(),
+            ))
+            .len()
+        });
+        kernel_row(&mut t, "lcs_dp", &input, || {
+            lcs_dp(&a, &b, |x, y| x == y).len()
+        });
+    }
+    for words in [12usize, 40, 130] {
+        let pairs = sentence_pairs(64, words, 9);
+        kernel_row(
+            &mut t,
+            "word_distance",
+            &format!("64 pairs, {words} words"),
+            || f2(pairs.iter().map(|(a, b)| word_distance(a, b)).sum()),
+        );
+    }
+
+    // Five to seven paragraphs put most sections at 30–40 nodes; each pairs
+    // with its namesake, as GumTree's containers pair.
+    let profile = DocProfile {
+        sections: 24,
+        paragraphs_per_section: (5, 7),
+        ..DocProfile::default()
+    };
+    let t1 = generate_document(73, &profile);
+    let (t2, _) = perturb(&t1, 74, 24, &EditMix::default(), &profile);
+    let sized = |n: usize| (30..=40).contains(&n);
+    let sections: Vec<_> = t1
+        .children(t1.root())
+        .iter()
+        .filter_map(|&x| {
+            let kids = t2.children(t2.root());
+            let y = kids.iter().copied().find(|&y| t2.value(y) == t1.value(x))?;
+            (sized(t1.subtree_size(x)) && sized(t2.subtree_size(y))).then_some((x, y))
+        })
+        .collect();
+    assert!(!sections.is_empty(), "no 30–40-node section pairs");
+    let input = format!("{} section pairs, 30–40 nodes", sections.len());
+    kernel_row(&mut t, "zs tree_mapping", &input, || {
+        let mapped = sections
+            .iter()
+            .map(|&(x, y)| tree_mapping(&t1, x, &t2, y, &UnitCost));
+        mapped.map(|m| m.len()).sum::<usize>()
+    });
+
+    // FastMatch's LCS pre-pass makes matching near-linear on similar
+    // versions; Match is quadratic in the leaf count. On unrelated
+    // documents the pre-pass cannot help and the two converge.
+    let mut pairs: Vec<(&str, Tree<DocValue>, Tree<DocValue>)> = [2usize, 6, 18]
+        .into_iter()
+        .map(|sections| {
+            let profile = DocProfile {
+                sections,
+                ..DocProfile::default()
+            };
+            let t1 = generate_document(51, &profile);
+            let (t2, _) = perturb(&t1, 52, 10, &EditMix::default(), &profile);
+            ("10 edits", t1, t2)
+        })
+        .collect();
+    let profile = DocProfile::default();
+    let unrelated = generate_document(9_999_961, &profile);
+    pairs.push(("unrelated", generate_document(61, &profile), unrelated));
+    for (kind, t1, t2) in &pairs {
+        let leaves = t1.leaves().count() + t2.leaves().count();
+        let input = format!("{leaves} leaves, {kind}");
+        kernel_row(&mut t, "fast_match", &input, || {
+            must(fast_match(t1, t2, params)).matching.len()
+        });
+        kernel_row(&mut t, "match_simple", &input, || {
+            must(match_simple(t1, t2, params)).matching.len()
+        });
+    }
+
+    // Same keys, different payloads: key lookup is O(n) with no compare.
+    for rows in [20usize, 80, 320] {
+        let (t1, t2) = (keyed_dump(5, rows, 1), keyed_dump(5, rows, 2));
+        let input = format!("{} keyed nodes", t1.len());
+        kernel_row(&mut t, "match_by_key", &input, || {
+            must(match_by_key(&t1, &t2, dump_key)).len()
+        });
+        kernel_row(&mut t, "match_keyed_then_content", &input, || {
+            must(match_keyed_then_content(&t1, &t2, params, dump_key))
+                .matching
+                .len()
+        });
+        kernel_row(&mut t, "fast_match (content only)", &input, || {
+            must(fast_match(&t1, &t2, params)).matching.len()
+        });
+    }
+
+    for sections in [2usize, 8, 24] {
+        let profile = DocProfile {
+            sections,
+            ..DocProfile::default()
+        };
+        let t1 = generate_document(91, &profile);
+        let (t2, _) = perturb(&t1, 92, 12, &EditMix::default(), &profile);
+        let m = must(fast_match(&t1, &t2, params)).matching;
+        let res = must(edit_script(&t1, &t2, &m));
+        let input = format!("{} nodes, 12 edits", t1.len());
+        kernel_row(&mut t, "build_delta_tree", &input, || {
+            build_delta_tree(&t1, &t2, &m, &res).len()
+        });
+        if sections == 8 {
+            let delta = build_delta_tree(&t1, &t2, &m, &res);
+            let input = format!("{}-node delta", delta.len());
+            kernel_row(&mut t, "render_text", &input, || render_text(&delta).len());
+            kernel_row(&mut t, "render_html", &input, || render_html(&delta).len());
+            kernel_row(&mut t, "extract_script", &input, || {
+                must(extract_script(&delta)).script.len()
+            });
+        }
+    }
+    out.push_str(&t.to_markdown());
+    let _ = writeln!(
+        out,
+        "\nreading guide: Myers is O(ND), so its time grows with the substitutions \
+         while DP's O(N²) stays flat; the unrelated pair is FastMatch's worst case, \
+         where its LCS pre-pass finds nothing to match; key lookup makes no \
+         compare calls."
+    );
+    out
+}
+
+/// Times `f` and appends its [`kernels`] row: the median wall time in µs
+/// and the last run's output.
+fn kernel_row<T: Display>(table: &mut Table, kernel: &str, input: &str, f: impl FnMut() -> T) {
+    let (secs, output) = time_median(KERNEL_RUNS, f);
+    table.row(&[
+        kernel.into(),
+        input.into(),
+        f1(secs * 1e6),
+        output.to_string(),
+    ]);
+}
+
+/// Two sequences of length `n` differing in `edits` random substitutions.
+fn similar_pair(n: usize, edits: usize, seed: u64) -> (Vec<u32>, Vec<u32>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let a: Vec<u32> = (0..n as u32).collect();
+    let mut b = a.clone();
+    for _ in 0..edits {
+        let i = rng.gen_range(0..n);
+        b[i] = rng.gen_range(1_000_000..2_000_000);
+    }
+    (a, b)
+}
+
+/// `pairs` sentence pairs of `words` words each: the second sentence of a
+/// pair rewrites about a quarter of the first's words (an *update*, the
+/// common case for FastMatch's leaf compares).
+fn sentence_pairs(pairs: usize, words: usize, seed: u64) -> Vec<(String, String)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let word = |rng: &mut StdRng| format!("w{}", rng.gen_range(0..400));
+    (0..pairs)
+        .map(|_| {
+            let a: Vec<String> = (0..words).map(|_| word(&mut rng)).collect();
+            let b: Vec<String> = a
+                .iter()
+                .map(|w| {
+                    if rng.gen_range(0..4) == 0 {
+                        word(&mut rng)
+                    } else {
+                        w.clone()
+                    }
+                })
+                .collect();
+            (a.join(" ") + ".", b.join(" ") + ".")
+        })
+        .collect()
+}
+
+/// A keyed "database dump": Table > Row records whose values embed ids.
+fn keyed_dump(tables: usize, rows: usize, seed: usize) -> Tree<DocValue> {
+    use hierdiff_tree::Label;
+    let mut t = Tree::new(Label::intern("Dump"), DocValue::None);
+    let root = t.root();
+    for a in 0..tables {
+        let tb = t.push_child(
+            root,
+            Label::intern("Table"),
+            DocValue::text(format!("id=t{a}")),
+        );
+        for r in 0..rows {
+            let payload = format!("id=t{a}r{r} payload {seed} {}", (r * 7 + a) % 13);
+            t.push_child(tb, Label::intern("Row"), DocValue::text(payload));
+        }
+    }
+    t
+}
+
+/// The key of a [`keyed_dump`] node: its `id=` field.
+fn dump_key(t: &Tree<DocValue>, n: hierdiff_tree::NodeId) -> Option<String> {
+    let rest = t.value(n).as_text()?.strip_prefix("id=")?;
+    Some(rest.split(' ').next().unwrap_or(rest).to_string())
+}
+
 /// Runs every experiment and concatenates the reports.
 pub fn run_all() -> String {
     let sections = [
@@ -925,6 +1147,7 @@ pub fn run_all() -> String {
         accuracy(),
         prematch_ablation(),
         batch_schedule(),
+        kernels(),
     ];
     sections.join("\n")
 }

@@ -1,8 +1,9 @@
 //! # hierdiff-bench
 //!
 //! Shared measurement machinery for the Section 8 experiment reproduction
-//! (the `experiments` binary) and the Criterion benchmarks. See DESIGN.md's
-//! experiment index (E1–E7) and EXPERIMENTS.md for the results.
+//! (the `experiments` binary, kernel wall times included) and the CI gates
+//! under `examples/`. See DESIGN.md's experiment index (E1–E7) and
+//! EXPERIMENTS.md for the results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

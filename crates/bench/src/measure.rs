@@ -1,5 +1,7 @@
 //! Per-pair measurement: everything Figure 13 and Table 1 plot for one
-//! `(T1, T2)` comparison.
+//! `(T1, T2)` comparison, plus the two timing statistics the harness uses:
+//! the median of repeated runs (`time_median`, for report tables) and
+//! the paired overhead gate ([`overhead_gate`], for the CI bounds).
 
 use std::time::{Duration, Instant};
 
@@ -172,6 +174,87 @@ pub fn linear_fit(points: &[(f64, f64)]) -> (f64, f64, f64) {
     (a, b, r2)
 }
 
+/// Median of `samples`, the upper middle one for an even count (`NaN`
+/// when empty). Sorts in place.
+pub(crate) fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples.get(samples.len() / 2).copied().unwrap_or(f64::NAN)
+}
+
+/// Runs `f` `runs` times (at least once) and returns the median wall time
+/// in seconds with the last run's result.
+pub(crate) fn time_median<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut timed = || {
+        let start = Instant::now();
+        let out = std::hint::black_box(f());
+        (start.elapsed().as_secs_f64(), out)
+    };
+    let (first, mut out) = timed();
+    let mut times = vec![first];
+    for _ in 1..runs {
+        let (t, o) = timed();
+        times.push(t);
+        out = o;
+    }
+    (median(&mut times), out)
+}
+
+/// One round of an overhead gate: `runs` passes, each running every slot
+/// once in order, so the slots interleave; each slot keeps its fastest
+/// time in seconds. Slot 0 is the baseline and slot 1 the candidate.
+pub fn interleaved_best(runs: usize, slots: &mut [Box<dyn FnMut() + '_>]) -> Vec<f64> {
+    let mut best = vec![f64::MAX; slots.len()];
+    for _ in 0..runs {
+        for (slot, f) in best.iter_mut().zip(slots.iter_mut()) {
+            let start = Instant::now();
+            f();
+            *slot = slot.min(start.elapsed().as_secs_f64());
+        }
+    }
+    best
+}
+
+/// The verdict of an overhead gate over the rounds it ran.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct OverheadVerdict {
+    /// The lowest `candidate / baseline − 1` over the rounds.
+    pub best: f64,
+    /// Whether `best` is within the bound.
+    pub pass: bool,
+}
+
+/// Judges recorded rounds, each the `(baseline, candidate)` best times of
+/// one round: the round with the lowest overhead ratio decides.
+pub fn overhead_verdict(rounds: &[(f64, f64)], bound: f64) -> OverheadVerdict {
+    let best = rounds
+        .iter()
+        .map(|&(baseline, candidate)| candidate / baseline - 1.0)
+        .fold(f64::MAX, f64::min);
+    OverheadVerdict {
+        best,
+        pass: best <= bound,
+    }
+}
+
+/// Runs up to `max_rounds` rounds (`round` gets the 0-based round index)
+/// and stops at the first round after which the verdict passes, so a
+/// noisy round is retried but a clean one ends the gate. Returns the
+/// verdict over the rounds run.
+pub fn overhead_gate(
+    max_rounds: usize,
+    bound: f64,
+    mut round: impl FnMut(usize) -> (f64, f64),
+) -> OverheadVerdict {
+    let mut rounds = Vec::with_capacity(max_rounds);
+    for r in 0..max_rounds {
+        rounds.push(round(r));
+        if overhead_verdict(&rounds, bound).pass {
+            break;
+        }
+    }
+    overhead_verdict(&rounds, bound)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,5 +322,64 @@ mod tests {
         let (a, b, _) = linear_fit(&[(1.0, 5.0), (1.0, 7.0)]);
         assert_eq!(b, 0.0);
         assert_eq!(a, 6.0);
+    }
+
+    #[test]
+    fn median_takes_the_upper_middle() {
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 3.0);
+        assert!(median(&mut []).is_nan());
+        let (secs, out) = time_median(3, || 7);
+        assert!(secs >= 0.0);
+        assert_eq!(out, 7);
+    }
+
+    #[test]
+    fn overhead_verdict_takes_the_best_round() {
+        // Rounds at +10%, +1%, +5%: the +1% round decides.
+        let v = overhead_verdict(&[(1.0, 1.10), (2.0, 2.02), (1.0, 1.05)], 0.02);
+        assert!((v.best - 0.01).abs() < 1e-9, "{v:?}");
+        assert!(v.pass);
+        // Ratios pair times within a round: the fastest candidate (1.0)
+        // over the fastest baseline (0.9) from another round is not used.
+        let v = overhead_verdict(&[(1.0, 1.05), (0.9, 1.0)], 0.02);
+        assert!((v.best - 0.05).abs() < 1e-9, "{v:?}");
+        assert!(!v.pass);
+    }
+
+    #[test]
+    fn overhead_gate_stops_at_the_first_round_within_bound() {
+        let timings = [(1.0, 1.08), (1.0, 1.01), (1.0, 1.00)];
+        let mut calls = Vec::new();
+        let v = overhead_gate(3, 0.02, |r| {
+            calls.push(r);
+            timings[r]
+        });
+        assert_eq!(calls, vec![0, 1]);
+        assert!(v.pass);
+        assert!((v.best - 0.01).abs() < 1e-9);
+        // A first round within bound ends the gate at once.
+        calls.clear();
+        let v = overhead_gate(3, 0.10, |r| {
+            calls.push(r);
+            timings[r]
+        });
+        assert_eq!(calls, vec![0]);
+        assert!(v.pass);
+    }
+
+    #[test]
+    fn overhead_gate_fails_when_every_round_exceeds_the_bound() {
+        let timings = [(1.0, 1.30), (1.0, 1.12), (1.0, 1.25)];
+        let mut calls = 0;
+        let v = overhead_gate(3, 0.10, |r| {
+            calls += 1;
+            timings[r]
+        });
+        assert_eq!(calls, 3, "every round runs before failing");
+        assert!(!v.pass);
+        assert!((v.best - 0.12).abs() < 1e-9, "{v:?}");
+        // No rounds at all is a failure, not a vacuous pass.
+        assert!(!overhead_verdict(&[], 0.10).pass);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! O(|a|·|b|) time and space. Serves as the reference oracle for the other
 //! implementations (and for `hierdiff-doc`'s bit-parallel sentence kernel)
-//! and as a baseline in `benches/lcs.rs`.
+//! and as the baseline of the `lcs_dp` rows of the `experiments -- kernels`
+//! report.
 
 use crate::Pair;
 

@@ -28,7 +28,8 @@
 //!   (`Guard::unlimited()` for an ungoverned call).
 //! * [`lcs_dp`] — the classic O(N·M) dynamic program. Simple, predictable;
 //!   the oracle for tests (including the sentence-compare kernel's
-//!   differential test) and a baseline in `benches/lcs.rs`.
+//!   differential test) and the baseline of the `experiments -- kernels`
+//!   report's LCS rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
