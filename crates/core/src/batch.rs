@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use hierdiff_guard::RetryPolicy;
+use hierdiff_guard::{Attempt, CancelToken, Retried, RetryPolicy};
 use hierdiff_obs::{CounterSample, DiffProfile, Recorder};
 use hierdiff_tree::{NodeValue, Tree};
 
@@ -265,7 +265,10 @@ where
                                 None => break,
                             },
                         };
-                        let (old, new) = pairs[i];
+                        // Claimed indexes are in range by construction.
+                        let Some(&(old, new)) = pairs.get(i) else {
+                            break;
+                        };
                         let t0 = Instant::now();
                         let result = diff_observed(
                             old,
@@ -288,9 +291,12 @@ where
                         // Delivery is marked before the sink runs: a sink
                         // that panics mid-call has still observed the pair,
                         // so the retry pass must not hand it over twice.
-                        let mut s = state.lock().unwrap_or_else(PoisonError::into_inner);
-                        s.0[i] = true;
-                        (s.1)(i, result);
+                        let (delivered, sink) =
+                            &mut *state.lock().unwrap_or_else(PoisonError::into_inner);
+                        if let Some(done) = delivered.get_mut(i) {
+                            *done = true;
+                        }
+                        sink(i, result);
                     }
                     (stats, recorder.map(|r| r.profile()))
                 })
@@ -322,58 +328,42 @@ where
     }
 
     // Batch resilience: pairs a dead worker never streamed are re-run on
-    // this thread per the configured retry policy, ungoverned by the dead
-    // worker's fate (the per-pair guard inside diff_observed still
-    // applies). Attempts beyond the first back off per the policy's
-    // deterministic jittered schedule. Every terminal outcome is typed and
-    // kept distinct: success streams the result, exhausting the policy
-    // streams RetryExhausted, a cancel token firing mid-retry streams
-    // Cancelled. A sink that panics stops the pass (it is the sink that is
-    // broken, not the pairs).
-    if !report.failures.is_empty() {
-        let policy = options.retry;
+    // this thread under the retry policy, ungoverned by the dead worker's
+    // fate (the per-pair guard inside diff_observed still applies). Each
+    // terminal outcome is typed and kept distinct: success streams the
+    // result, exhaustion streams RetryExhausted, a cancel token fired
+    // mid-retry streams Cancelled. A sink that panics stops the pass: it
+    // is the sink that is broken, not the pairs.
+    let policy = options.retry;
+    if !report.failures.is_empty() && policy.retry_limit() > 0 {
+        let (delivered, mut sink) = state.into_inner().unwrap_or_else(PoisonError::into_inner);
         let cancel = options.diff.cancel.as_ref();
-        let (mut delivered, mut sink) = state.into_inner().unwrap_or_else(PoisonError::into_inner);
-        'pairs: for (i, done) in delivered.iter_mut().enumerate() {
-            if *done || policy.retry_limit() == 0 {
-                continue;
-            }
-            let (old, new) = pairs[i];
-            for attempt in 1..=policy.retry_limit() {
-                if cancel.is_some_and(hierdiff_guard::CancelToken::is_cancelled) {
-                    report.retry_cancelled.push(i);
-                    *done = true;
-                    if catch_unwind(AssertUnwindSafe(|| sink(i, Err(DiffError::Cancelled))))
-                        .is_err()
-                    {
-                        break 'pairs;
+        let report = &mut report;
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            let pending = pairs.iter().zip(&delivered).enumerate();
+            for (i, (&(old, new), _)) in pending.filter(|(_, (_, &done))| !done) {
+                let attempt = |_| {
+                    if cancel.is_some_and(CancelToken::is_cancelled) {
+                        return Attempt::Stop(DiffError::Cancelled);
                     }
-                    continue 'pairs;
-                }
-                if attempt > 1 {
-                    std::thread::sleep(policy.backoff(attempt - 1, i as u64));
-                }
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    diff_observed(old, new, &options.diff, None)
-                }));
-                if let Ok(result) = run {
-                    *done = true;
-                    if catch_unwind(AssertUnwindSafe(|| sink(i, result))).is_err() {
-                        break 'pairs;
+                    Attempt::Done(diff_observed(old, new, &options.diff, None))
+                };
+                match policy.run_isolated(policy.retry_limit(), i as u64, attempt, || {}) {
+                    Retried::Done(result, _) => {
+                        sink(i, result);
+                        report.retries += 1;
                     }
-                    report.retries += 1;
-                    continue 'pairs;
+                    Retried::Stopped(cancelled) => {
+                        report.retry_cancelled.push(i);
+                        sink(i, Err(cancelled));
+                    }
+                    Retried::Exhausted(..) => {
+                        report.retry_failed.push(i);
+                        sink(i, Err(DiffError::RetryExhausted(policy.retry_limit())));
+                    }
                 }
             }
-            // Every allowed attempt panicked: a typed terminal outcome,
-            // distinct from cancellation.
-            report.retry_failed.push(i);
-            *done = true;
-            let exhausted = Err(DiffError::RetryExhausted(policy.retry_limit()));
-            if catch_unwind(AssertUnwindSafe(|| sink(i, exhausted))).is_err() {
-                break 'pairs;
-            }
-        }
+        }));
     }
     report.wall = start.elapsed();
     report
@@ -390,7 +380,11 @@ pub(crate) fn diff_batch_run<V: NodeValue + Send + Sync>(
 ) -> BatchRun<V> {
     let mut slots: Vec<Option<Result<DiffResult<V>, DiffError>>> =
         (0..pairs.len()).map(|_| None).collect();
-    let report = diff_batch_inner(pairs, options, |i, result| slots[i] = Some(result));
+    let report = diff_batch_inner(pairs, options, |i, result| {
+        if let Some(slot) = slots.get_mut(i) {
+            *slot = Some(result);
+        }
+    });
     let fallback = report
         .failures
         .first()

@@ -35,11 +35,11 @@ pub enum Boundary {
 /// caller, and each is therefore a point the chaos soak must cover.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ServeBoundary {
-    /// After the admission decision, before the request is enqueued.
+    /// The request arrived, before the admission decision.
     Admit,
-    /// A pool worker dequeued the request.
+    /// The request took a run slot and is about to run.
     Dequeue,
-    /// Before the worker consults the fingerprint-index cache.
+    /// Before the request consults the fingerprint-index cache.
     CacheLookup,
     /// Inside the crash-isolation scope, before the diff pipeline runs.
     DiffStart,

@@ -48,7 +48,7 @@ pub use chaos::{
     ServeChaosPanic, ServeInjection,
 };
 pub use pool::{BudgetPool, PoolExhausted, PoolGrant};
-pub use retry::RetryPolicy;
+pub use retry::{Attempt, Retried, RetryPolicy};
 
 /// A shared cancellation flag. Cloning shares the flag: firing any clone
 /// cancels every [`Guard`] holding one. Checking is a single relaxed

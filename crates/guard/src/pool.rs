@@ -159,11 +159,6 @@ impl BudgetPool {
     pub fn capacity_bytes(&self) -> usize {
         self.inner.capacity_bytes
     }
-
-    /// The pool's concurrent-request ceiling.
-    pub fn max_concurrent(&self) -> usize {
-        self.inner.max_concurrent
-    }
 }
 
 /// An admitted request's reservation: one concurrency slot plus its
@@ -173,13 +168,6 @@ impl BudgetPool {
 pub struct PoolGrant {
     inner: Arc<PoolInner>,
     bytes: usize,
-}
-
-impl PoolGrant {
-    /// Bytes this grant reserves.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
 }
 
 impl Drop for PoolGrant {

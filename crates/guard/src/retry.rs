@@ -1,5 +1,7 @@
 //! [`RetryPolicy`]: a deterministic retry/backoff schedule for transient
-//! failures (worker panics, chaos-injected faults).
+//! failures (worker panics, chaos-injected faults), and
+//! [`RetryPolicy::run_isolated`], the one crash-isolated loop that runs
+//! attempts under it for both the batch runner and the diff service.
 //!
 //! Retrying is only safe when it is *bounded* and *deterministic*: a
 //! service that retries forever converts one poisoned request into a
@@ -17,12 +19,11 @@
 //!
 //! let policy = RetryPolicy::retries(2).with_base_backoff(Duration::from_millis(4));
 //! assert_eq!(policy.max_attempts(), 3);
-//! assert!(policy.should_retry(1));
-//! assert!(!policy.should_retry(3));
 //! // Jitter is deterministic in (policy, attempt, salt).
 //! assert_eq!(policy.backoff(1, 7), policy.backoff(1, 7));
 //! ```
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use crate::chaos::splitmix64;
@@ -97,12 +98,6 @@ impl RetryPolicy {
         self.max_attempts() - 1
     }
 
-    /// Whether another attempt is allowed after `failed_attempts` tries
-    /// have already failed.
-    pub fn should_retry(&self, failed_attempts: u32) -> bool {
-        failed_attempts < self.max_attempts()
-    }
-
     /// The backoff to sleep before retry number `attempt` (1-based: the
     /// retry after the first failure is attempt 1). `salt` is a
     /// per-request value (e.g. the request index) so concurrent retries
@@ -127,6 +122,60 @@ impl RetryPolicy {
         let jittered = step - half + (r % (half + 1));
         Duration::from_nanos(jittered)
     }
+
+    /// Runs up to `attempts` tries of `attempt` (passed its 1-based
+    /// number), each under `catch_unwind`, sleeping
+    /// [`backoff(n - 1, salt)`](RetryPolicy::backoff) before try `n > 1`.
+    /// After a try panics, `quarantine` runs before the next one, so the
+    /// caller can rebuild what the try may have left half-changed.
+    pub fn run_isolated<T, E>(
+        &self,
+        attempts: u32,
+        salt: u64,
+        mut attempt: impl FnMut(u32) -> Attempt<T, E>,
+        mut quarantine: impl FnMut(),
+    ) -> Retried<T, E> {
+        let (mut error, mut panics) = (None, 0);
+        for n in 1..=attempts {
+            if n > 1 {
+                std::thread::sleep(self.backoff(n - 1, salt));
+            }
+            match catch_unwind(AssertUnwindSafe(|| attempt(n))) {
+                Ok(Attempt::Done(value)) => return Retried::Done(value, n),
+                Ok(Attempt::Stop(e)) => return Retried::Stopped(e),
+                Ok(Attempt::Retry(e)) => error = Some(e),
+                Err(_) => {
+                    (error, panics) = (None, panics + 1);
+                    quarantine();
+                }
+            }
+        }
+        Retried::Exhausted(error, panics)
+    }
+}
+
+/// What one attempt of [`RetryPolicy::run_isolated`] returns.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Attempt<T, E> {
+    /// Success: the loop ends with this value.
+    Done(T),
+    /// A failure no retry can fix (cancellation, a passed deadline): the
+    /// loop ends at once.
+    Stop(E),
+    /// A typed failure the next attempt may get past.
+    Retry(E),
+}
+
+/// How [`RetryPolicy::run_isolated`] ended.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Retried<T, E> {
+    /// The successful attempt's value, and the attempts used.
+    Done(T, u32),
+    /// The error an attempt stopped the loop with.
+    Stopped(E),
+    /// Every attempt failed: the last one's typed error (`None` when it
+    /// panicked), and how many attempts panicked.
+    Exhausted(Option<E>, u32),
 }
 
 /// `u64::saturating_shl` is unstable; a shift past 63 saturates to max
@@ -154,15 +203,13 @@ mod tests {
         let p = RetryPolicy::default();
         assert_eq!(p.max_attempts(), 2);
         assert_eq!(p.retry_limit(), 1);
-        assert!(p.should_retry(1));
-        assert!(!p.should_retry(2));
     }
 
     #[test]
     fn none_never_retries() {
         let p = RetryPolicy::none();
         assert_eq!(p.max_attempts(), 1);
-        assert!(!p.should_retry(1));
+        assert_eq!(p.retry_limit(), 0);
     }
 
     #[test]
@@ -195,6 +242,78 @@ mod tests {
         let p = RetryPolicy::retries(3).with_base_backoff(Duration::ZERO);
         assert_eq!(p.backoff(1, 0), Duration::ZERO);
         assert_eq!(p.backoff(3, 9), Duration::ZERO);
+    }
+
+    /// A policy that never sleeps, so the loop tests need no clock.
+    fn instant(retries: u32) -> RetryPolicy {
+        RetryPolicy::retries(retries).with_base_backoff(Duration::ZERO)
+    }
+
+    #[test]
+    fn success_after_panics_counts_every_attempt() {
+        let p = instant(5);
+        let mut quarantined = 0;
+        let out = p.run_isolated(
+            p.max_attempts(),
+            0,
+            |n| {
+                assert!(n <= 3, "no attempt after the success");
+                if n < 3 {
+                    panic!("attempt {n} dies");
+                }
+                Attempt::<_, ()>::Done(n * 10)
+            },
+            || quarantined += 1,
+        );
+        assert_eq!(out, Retried::Done(30, 3));
+        assert_eq!(quarantined, 2, "one quarantine per panic");
+    }
+
+    #[test]
+    fn stop_ends_the_loop_at_once() {
+        let p = instant(5);
+        let mut tries = 0;
+        let out = p.run_isolated(
+            p.max_attempts(),
+            0,
+            |n| {
+                tries += 1;
+                if n == 1 {
+                    Attempt::<(), _>::Retry("transient")
+                } else {
+                    Attempt::Stop("cancelled")
+                }
+            },
+            || unreachable!("nothing panicked"),
+        );
+        assert_eq!(out, Retried::Stopped("cancelled"));
+        assert_eq!(tries, 2);
+    }
+
+    #[test]
+    fn exhaustion_keeps_the_last_typed_error_or_the_panic_count() {
+        let p = instant(2);
+        let out = p.run_isolated(
+            p.max_attempts(),
+            0,
+            |n| {
+                if n == 1 {
+                    panic!("first attempt dies");
+                }
+                Attempt::<(), _>::Retry(n)
+            },
+            || {},
+        );
+        assert_eq!(out, Retried::Exhausted(Some(3), 1));
+        let mut quarantined = 0;
+        let out = p.run_isolated(
+            p.max_attempts(),
+            0,
+            |n| -> Attempt<(), ()> { panic!("attempt {n} dies") },
+            || quarantined += 1,
+        );
+        assert_eq!(out, Retried::Exhausted(None, 3));
+        assert_eq!(quarantined, 3);
     }
 
     #[test]

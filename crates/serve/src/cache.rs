@@ -109,15 +109,6 @@ impl DocCache {
         total
     }
 
-    /// Chain length of `doc`, if ingested.
-    pub fn chain_len(&self, doc: &str) -> Option<usize> {
-        self.chains
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(doc)
-            .map(|c| c.entries.len())
-    }
-
     /// Node counts for a version pair, for the admission estimate.
     /// Validates document and version indexes.
     pub fn pair_nodes(&self, doc: &str, old: usize, new: usize) -> Result<usize, ServeError> {

@@ -1,5 +1,5 @@
-//! Service configuration: worker pool shape, admission ceilings, retry
-//! schedule, deadlines, and the degradation ladder.
+//! Service configuration: run slots, admission ceilings, retry schedule,
+//! deadlines, and the degradation ladder.
 
 use std::time::Duration;
 
@@ -34,11 +34,10 @@ impl Rung {
 /// [`ServeConfig::default`] and override with the `with_*` builders.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Pool worker threads (clamped to ≥ 1).
+    /// Run slots: how many admitted requests run at once, each on its
+    /// caller's thread (clamped to ≥ 1). The others wait for a slot in
+    /// arrival order, up to their deadline.
     pub workers: usize,
-    /// Bounded request-queue depth; a full queue sheds with
-    /// [`OverloadReason::QueueFull`](crate::OverloadReason::QueueFull).
-    pub queue_depth: usize,
     /// Service-level memory-estimate capacity for the
     /// [`BudgetPool`](hierdiff_guard::BudgetPool), in bytes.
     pub capacity_bytes: usize,
@@ -66,7 +65,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             workers: 2,
-            queue_depth: 64,
             // Generous default: ~256 MiB of node estimates.
             capacity_bytes: 256 << 20,
             max_concurrent: 8,
@@ -80,15 +78,9 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Overrides the worker-thread count.
+    /// Overrides the run-slot count.
     pub fn with_workers(mut self, workers: usize) -> ServeConfig {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Overrides the bounded queue depth.
-    pub fn with_queue_depth(mut self, depth: usize) -> ServeConfig {
-        self.queue_depth = depth.max(1);
         self
     }
 
@@ -96,12 +88,6 @@ impl ServeConfig {
     /// pool charges [`NODE_MEM_ESTIMATE`] bytes per node).
     pub fn with_capacity_nodes(mut self, nodes: usize) -> ServeConfig {
         self.capacity_bytes = nodes.saturating_mul(NODE_MEM_ESTIMATE);
-        self
-    }
-
-    /// Overrides the admission pool capacity in bytes.
-    pub fn with_capacity_bytes(mut self, bytes: usize) -> ServeConfig {
-        self.capacity_bytes = bytes;
         self
     }
 

@@ -13,8 +13,6 @@ use hierdiff_guard::PoolExhausted;
 /// Why admission control turned a request away.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OverloadReason {
-    /// The bounded request queue is full — workers are not keeping up.
-    QueueFull,
     /// The service-level budget pool refused the reservation (concurrency
     /// or memory-estimate ceiling).
     Pool(PoolExhausted),
@@ -23,7 +21,6 @@ pub enum OverloadReason {
 impl fmt::Display for OverloadReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            OverloadReason::QueueFull => write!(f, "request queue full"),
             OverloadReason::Pool(e) => write!(f, "{e}"),
         }
     }
@@ -48,11 +45,12 @@ pub enum ServeError {
         versions: usize,
     },
     /// The request's deadline elapsed before a result was produced —
-    /// either waiting in the queue or mid-computation after the
-    /// degradation ladder ran out of cheaper rungs.
+    /// either waiting for a run slot or mid-computation after the
+    /// degradation ladder ran out of cheaper rungs. An answer that is
+    /// ready only after the deadline is returned as this, never as `Ok`.
     DeadlineExceeded,
-    /// The request was cancelled (caller abandonment, service shutdown,
-    /// or an injected [`Fault::Cancel`](hierdiff_guard::Fault)).
+    /// The request was cancelled (caller abandonment or an injected
+    /// [`Fault::Cancel`](hierdiff_guard::Fault)).
     Cancelled,
     /// Every attempt the retry policy allowed panicked inside the crash
     /// isolation scope. The cache entries the request touched were
@@ -64,8 +62,6 @@ pub enum ServeError {
     /// The pipeline returned a typed error that the ladder and retry
     /// policy could not absorb (e.g. a hard budget with no degraded tier).
     Diff(DiffError),
-    /// The service is shutting down and no longer accepts work.
-    ShuttingDown,
 }
 
 impl fmt::Display for ServeError {
@@ -87,7 +83,6 @@ impl fmt::Display for ServeError {
                 write!(f, "all {attempts} attempt(s) panicked; cache quarantined")
             }
             ServeError::Diff(e) => write!(f, "diff failed: {e}"),
-            ServeError::ShuttingDown => write!(f, "service shutting down"),
         }
     }
 }

@@ -13,10 +13,14 @@
 //!
 //! * **Admission control** — a lock-free service-level
 //!   [`BudgetPool`](hierdiff_guard::BudgetPool) (memory estimate +
-//!   concurrency) and a bounded queue shed excess load *before* any work
-//!   happens, as typed [`ServeError::Overloaded`] rejections.
+//!   concurrency) sheds excess load *before* any work happens, as typed
+//!   [`ServeError::Overloaded`] rejections. An admitted request runs on
+//!   its caller's thread once it holds one of
+//!   [`ServeConfig::workers`] run slots, taken in arrival order; a
+//!   deadline that passes while it waits sheds it.
 //! * **Crash isolation + retry** — every attempt runs under
-//!   `catch_unwind` in a pool worker; a panic quarantines the cache
+//!   [`RetryPolicy::run_isolated`](hierdiff_guard::RetryPolicy::run_isolated),
+//!   the loop the batch runner uses too; a panic quarantines the cache
 //!   entries it touched (rebuilt on next access) and consumes one
 //!   attempt of the configured [`RetryPolicy`](hierdiff_guard::RetryPolicy)
 //!   with deterministic jittered backoff.

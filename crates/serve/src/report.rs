@@ -15,15 +15,16 @@ pub struct ServeReport {
     pub requests: u64,
     /// Requests answered successfully (including degraded ones).
     pub ok: u64,
-    /// Requests shed by admission control (queue full or pool exhausted).
+    /// Requests shed by admission control (pool exhausted).
     pub rejected: u64,
     /// Retry attempts consumed across all requests.
     pub retried: u64,
     /// Successful responses flagged degraded (ladder rung > first, or an
     /// in-pipeline degraded tier engaged).
     pub degraded: u64,
-    /// Requests dropped for deadline reasons: timed out in queue,
-    /// abandoned mid-compute, or rejected at the ladder's bottom.
+    /// Requests dropped for deadline reasons: timed out waiting for a
+    /// run slot, answered only after the deadline, or rejected at the
+    /// ladder's bottom.
     pub shed: u64,
     /// Version-entry lookups served from an intact cached index.
     pub cache_hits: u64,

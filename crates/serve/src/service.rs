@@ -1,22 +1,23 @@
-//! The [`DiffService`]: a long-lived multi-worker diff server over
-//! ingested version chains.
+//! The [`DiffService`]: a long-lived diff server over ingested version
+//! chains. Each request runs on its caller's thread.
 //!
 //! Request lifecycle (each numbered point is a [`ServeBoundary`] the
 //! chaos observer can attack):
 //!
-//! 1. **Admit** — the caller thread checks the request against the
-//!    service-level [`BudgetPool`] (concurrency + memory estimate) and
-//!    the bounded queue; failure is a typed
+//! 1. **Admit** — the service-level [`BudgetPool`] (concurrency + memory
+//!    estimate) admits the request or rejects it as a typed
 //!    [`ServeError::Overloaded`] with no work done.
-//! 2. **Dequeue** — a pool worker picks the job up and drops it if its
-//!    deadline already passed (shed).
+//! 2. **Dequeue** — the request took one of the
+//!    [`workers`](ServeConfig::workers) run slots, handed out in arrival
+//!    order. It is shed if its deadline passed before then.
 //! 3. **CacheLookup** — trees and fingerprint indexes come from the
 //!    [`DocCache`]; quarantined entries are rebuilt first.
-//! 4. **DiffStart / DiffEnd** — the pipeline runs inside
-//!    `catch_unwind`; a panic quarantines the touched cache entries and
-//!    consumes one retry attempt.
-//! 5. **Respond** — the result (always a `Result<_, ServeError>`)
-//!    returns to the caller.
+//! 4. **DiffStart / DiffEnd** — each attempt runs the pipeline under
+//!    [`RetryPolicy::run_isolated`](hierdiff_guard::RetryPolicy::run_isolated);
+//!    a panic quarantines the touched cache entries and consumes one
+//!    attempt.
+//! 5. **Respond** — the result returns to the caller; one ready only
+//!    after the deadline is [`ServeError::DeadlineExceeded`], never `Ok`.
 //!
 //! The degradation ladder: each extra attempt and each band of deadline
 //! pressure moves one rung down [`ServeConfig::ladder`] (GumTree →
@@ -25,18 +26,18 @@
 //! reuse path: it seeds the matcher from the cached per-version
 //! fingerprint indexes instead of rebuilding them per request.
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use hierdiff_core::{Audit, DiffError, Differ, MatchStrategy};
 use hierdiff_doc::DocValue;
 use hierdiff_edit::OpCounts;
 use hierdiff_guard::{
-    BudgetPool, Budgets, CancelToken, ChaosObserver, Fault, PoolGrant, ServeBoundary,
+    Attempt, BudgetPool, Budgets, CancelToken, ChaosObserver, Fault, Retried, ServeBoundary,
 };
 use hierdiff_matching::prune_identical_indexed;
 use hierdiff_tree::Tree;
@@ -74,26 +75,258 @@ pub struct ServeResponse {
     pub latency: Duration,
 }
 
-struct Job {
-    doc: String,
-    old: usize,
-    new: usize,
-    deadline: Option<(Instant, Duration)>,
-    seq: u64,
-    reply: mpsc::Sender<Result<ServeResponse, ServeError>>,
-    #[allow(dead_code)] // held for its Drop: releases the pool reservation
-    grant: PoolGrant,
-}
+/// A request deadline: the instant it passes and the full allowance.
+type Deadline = Option<(Instant, Duration)>;
 
-struct Shared {
+/// Both versions' cache entries, and whether neither had to be rebuilt.
+type Entries = (VersionEntry, VersionEntry, bool);
+
+/// The versioned diff service. Construct with [`DiffService::new`] (or
+/// [`with_chaos`](DiffService::with_chaos) under test), ingest version
+/// chains, then call [`diff`](DiffService::diff) from any number of
+/// threads; each call runs on its caller once it holds a run slot.
+pub struct DiffService {
     config: ServeConfig,
     cache: DocCache,
     pool: BudgetPool,
+    slots: RunSlots,
     stats: Mutex<ServeReport>,
     chaos: Option<Mutex<ChaosObserver>>,
+    seq: AtomicU64,
+    started: Instant,
 }
 
-impl Shared {
+impl DiffService {
+    /// A service configured per `config`.
+    pub fn new(config: ServeConfig) -> DiffService {
+        DiffService::build(config, None)
+    }
+
+    /// A service with a chaos observer attached: every [`ServeBoundary`]
+    /// the service crosses is reported to (and may be attacked by)
+    /// `chaos`.
+    pub fn with_chaos(config: ServeConfig, chaos: ChaosObserver) -> DiffService {
+        DiffService::build(config, Some(chaos))
+    }
+
+    fn build(config: ServeConfig, chaos: Option<ChaosObserver>) -> DiffService {
+        DiffService {
+            pool: BudgetPool::new(config.capacity_bytes, config.max_concurrent),
+            slots: RunSlots {
+                queue: Mutex::new(SlotQueue {
+                    free: config.workers.max(1),
+                    ..SlotQueue::default()
+                }),
+                freed: Condvar::new(),
+            },
+            config,
+            cache: DocCache::new(),
+            stats: Mutex::new(ServeReport::default()),
+            chaos: chaos.map(Mutex::new),
+            seq: AtomicU64::new(0),
+            started: Instant::now(),
+        }
+    }
+
+    /// Ingests (or replaces) a document's version chain, building a
+    /// fingerprint index per version. Returns the total node count.
+    pub fn ingest(&self, doc: &str, versions: Vec<Tree<DocValue>>) -> usize {
+        self.cache.insert_chain(doc, versions)
+    }
+
+    /// Diffs `versions[old]` against `versions[new]` of `doc` under the
+    /// configured default deadline. Safe to call from many threads.
+    pub fn diff(&self, doc: &str, old: usize, new: usize) -> Result<ServeResponse, ServeError> {
+        self.request(doc, old, new, self.config.deadline)
+    }
+
+    /// [`diff`](DiffService::diff) with an explicit per-request deadline
+    /// override (`None` = wait forever).
+    pub fn request(
+        &self,
+        doc: &str,
+        old: usize,
+        new: usize,
+        deadline: Option<Duration>,
+    ) -> Result<ServeResponse, ServeError> {
+        let start = Instant::now();
+        let deadline = deadline.map(|d| (start + d, d));
+        // Set while a panic outside the retry loop may have caught the
+        // pair's cache entries mid-use (the Dequeue and CacheLookup
+        // stages); panics at Admit or Respond touch no entry.
+        let mut touched = false;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let result = self.serve(doc, old, new, deadline, &mut touched);
+            touched = false;
+            self.chaos_point(ServeBoundary::Respond, None);
+            result
+        }));
+        let result = outcome.unwrap_or_else(|_| {
+            if touched {
+                self.quarantine_pair(doc, old, new);
+            }
+            Err(ServeError::Panicked {
+                attempts: u32::from(touched),
+            })
+        });
+        self.stats(|s| match &result {
+            Ok(resp) => {
+                s.ok += 1;
+                s.latency.record(start.elapsed().as_nanos() as u64);
+                if resp.degraded {
+                    s.degraded += 1;
+                }
+            }
+            Err(ServeError::Overloaded(_)) => s.rejected += 1,
+            Err(ServeError::DeadlineExceeded) => s.shed += 1,
+            Err(_) => {}
+        });
+        result.map(|mut resp| {
+            resp.latency = start.elapsed();
+            resp
+        })
+    }
+
+    /// Admission, the wait for a run slot, the cache lookup, then the
+    /// retry loop down the degradation ladder, on the calling thread.
+    fn serve(
+        &self,
+        doc: &str,
+        old: usize,
+        new: usize,
+        deadline: Deadline,
+        touched: &mut bool,
+    ) -> Result<ServeResponse, ServeError> {
+        self.stats(|s| s.requests += 1);
+        self.chaos_point(ServeBoundary::Admit, None);
+        let nodes = self.cache.pair_nodes(doc, old, new)?;
+        let _grant = self
+            .pool
+            .try_admit(nodes)
+            .map_err(|e| ServeError::Overloaded(OverloadReason::Pool(e)))?;
+        let _slot = self
+            .slots
+            .acquire(deadline.map(|(at, _)| at))
+            .ok_or(ServeError::DeadlineExceeded)?;
+        *touched = true;
+        self.chaos_point(ServeBoundary::Dequeue, None);
+        if pressure(deadline, 1).is_none() {
+            // Expired before it could run: shed without touching the cache.
+            return Err(ServeError::DeadlineExceeded);
+        }
+        self.chaos_point(ServeBoundary::CacheLookup, None);
+        let entries: RefCell<Result<Entries, ServeError>> =
+            RefCell::new(Ok(self.lookup_pair(doc, old, new)?));
+        let attempt = |n: u32| {
+            if n > 1 {
+                self.stats(|s| s.retried += 1);
+            }
+            let Some((skip, remaining)) = pressure(deadline, self.config.rungs()) else {
+                return Attempt::Stop(ServeError::DeadlineExceeded);
+            };
+            let (entry_old, entry_new, cache_hit) = match &*entries.borrow() {
+                Ok(entries) => entries.clone(),
+                Err(e) => return Attempt::Stop(e.clone()),
+            };
+            let step = (n - 1) as usize + skip;
+            match self.run_attempt(&entry_old, &entry_new, self.config.rung(step), remaining) {
+                Ok(resp) => Attempt::Done(ServeResponse {
+                    retried: n - 1,
+                    shed: skip > 0,
+                    degraded: resp.degraded || step > 0,
+                    cache_hit,
+                    ..resp
+                }),
+                Err(ServeError::Cancelled) => Attempt::Stop(ServeError::Cancelled),
+                Err(e) => Attempt::Retry(e),
+            }
+        };
+        // Crash isolation: quarantine what the attempt touched, then
+        // re-fetch (rebuilding) for the next attempt.
+        let quarantine = || {
+            self.quarantine_pair(doc, old, new);
+            let refetched = self.lookup_pair(doc, old, new);
+            *entries.borrow_mut() = refetched.map(|(o, n, _)| (o, n, false));
+        };
+        let policy = self.config.retry;
+        let salt = self.seq.fetch_add(1, Ordering::Relaxed);
+        let result = match policy.run_isolated(policy.max_attempts(), salt, attempt, quarantine) {
+            Retried::Done(value, _) => Ok(value),
+            Retried::Stopped(error) | Retried::Exhausted(Some(error), _) => Err(error),
+            Retried::Exhausted(None, panics) => Err(ServeError::Panicked { attempts: panics }),
+        };
+        match deadline {
+            Some((at, _)) if Instant::now() > at => Err(ServeError::DeadlineExceeded),
+            _ => result,
+        }
+    }
+
+    /// One attempt at `rung`, under a fresh cancel token and the pipeline
+    /// budgets, the wall time cut to what is left of the deadline.
+    fn run_attempt(
+        &self,
+        old: &VersionEntry,
+        new: &VersionEntry,
+        rung: Rung,
+        remaining: Option<Duration>,
+    ) -> Result<ServeResponse, ServeError> {
+        let token = &CancelToken::new();
+        self.chaos_point(ServeBoundary::DiffStart, Some(token));
+        let mut budgets: Budgets = self.config.budgets;
+        if let Some(rem) = remaining {
+            budgets = budgets.with_max_wall_time(rem);
+        }
+        let audit = if self.config.audit {
+            Audit::On
+        } else {
+            Audit::Off
+        };
+        // A response carries no delta tree: build one only for the audit.
+        let differ = Differ::new()
+            .budget(budgets)
+            .cancel(token)
+            .audit(audit)
+            .delta(self.config.audit);
+        let differ = match rung {
+            Rung::GumTree => differ.strategy(MatchStrategy::gumtree()),
+            Rung::FastMatch => {
+                // The chain-reuse path: seed the matcher from the cached
+                // indexes instead of rebuilding either one.
+                let (seed, _) =
+                    prune_identical_indexed(&old.tree, &old.index, &new.tree, &new.index)
+                        .map_err(|e| ServeError::Diff(DiffError::from(e)))?;
+                differ.prune_seed(seed)
+            }
+            Rung::Simple => differ.strategy(MatchStrategy::Simple),
+        };
+        let result = differ
+            .diff(&old.tree, &new.tree)
+            .map_err(ServeError::from)?;
+        self.chaos_point(ServeBoundary::DiffEnd, Some(token));
+        Ok(ServeResponse {
+            ops: result.script.op_counts(),
+            script_len: result.script.len(),
+            strategy: rung.name(),
+            degraded: result.degraded.any(),
+            retried: 0,
+            shed: false,
+            cache_hit: false,
+            audit_clean: result.audit.as_ref().map(|a| a.is_clean()),
+            latency: Duration::ZERO,
+        })
+    }
+
+    /// Looks up both versions, counting hits and misses.
+    fn lookup_pair(&self, doc: &str, old: usize, new: usize) -> Result<Entries, ServeError> {
+        let (entry_old, miss_old) = self.cache.lookup(doc, old)?;
+        let (entry_new, miss_new) = self.cache.lookup(doc, new)?;
+        self.stats(|s| {
+            s.cache_hits += u64::from(!miss_old) + u64::from(!miss_new);
+            s.cache_misses += u64::from(miss_old) + u64::from(miss_new);
+        });
+        Ok((entry_old, entry_new, !(miss_old || miss_new)))
+    }
+
     fn stats<R>(&self, f: impl FnOnce(&mut ServeReport) -> R) -> R {
         f(&mut self.stats.lock().unwrap_or_else(PoisonError::into_inner))
     }
@@ -122,168 +355,10 @@ impl Shared {
         let newly = self.cache.quarantine(doc, &[old, new]);
         self.stats(|s| s.quarantined += newly as u64);
     }
-}
-
-/// The versioned diff service. Construct with [`DiffService::new`] (or
-/// [`with_chaos`](DiffService::with_chaos) under test), ingest version
-/// chains, then call [`diff`](DiffService::diff) from any number of
-/// threads. Dropping the service drains and joins its workers.
-pub struct DiffService {
-    shared: Arc<Shared>,
-    tx: Option<SyncSender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-    seq: AtomicU64,
-    started: Instant,
-}
-
-impl DiffService {
-    /// Starts the worker pool per `config`.
-    pub fn new(config: ServeConfig) -> DiffService {
-        DiffService::build(config, None)
-    }
-
-    /// Starts the pool with a chaos observer attached: every
-    /// [`ServeBoundary`] the service crosses is reported to (and may be
-    /// attacked by) `chaos`.
-    pub fn with_chaos(config: ServeConfig, chaos: ChaosObserver) -> DiffService {
-        DiffService::build(config, Some(chaos))
-    }
-
-    fn build(config: ServeConfig, chaos: Option<ChaosObserver>) -> DiffService {
-        let workers = config.workers.max(1);
-        let pool = BudgetPool::new(config.capacity_bytes, config.max_concurrent);
-        let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
-        let shared = Arc::new(Shared {
-            config,
-            cache: DocCache::new(),
-            pool,
-            stats: Mutex::new(ServeReport::default()),
-            chaos: chaos.map(Mutex::new),
-        });
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
-                std::thread::spawn(move || worker_loop(&shared, &rx))
-            })
-            .collect();
-        DiffService {
-            shared,
-            tx: Some(tx),
-            workers: handles,
-            seq: AtomicU64::new(0),
-            started: Instant::now(),
-        }
-    }
-
-    /// Ingests (or replaces) a document's version chain, building a
-    /// fingerprint index per version. Returns the total node count.
-    pub fn ingest(&self, doc: &str, versions: Vec<Tree<DocValue>>) -> usize {
-        self.shared.cache.insert_chain(doc, versions)
-    }
-
-    /// Chain length of an ingested document.
-    pub fn chain_len(&self, doc: &str) -> Option<usize> {
-        self.shared.cache.chain_len(doc)
-    }
-
-    /// Diffs `versions[old]` against `versions[new]` of `doc` under the
-    /// configured default deadline. Safe to call from many threads.
-    pub fn diff(&self, doc: &str, old: usize, new: usize) -> Result<ServeResponse, ServeError> {
-        self.request(doc, old, new, self.shared.config.deadline)
-    }
-
-    /// [`diff`](DiffService::diff) with an explicit per-request deadline
-    /// override (`None` = wait forever).
-    pub fn request(
-        &self,
-        doc: &str,
-        old: usize,
-        new: usize,
-        deadline: Option<Duration>,
-    ) -> Result<ServeResponse, ServeError> {
-        let start = Instant::now();
-        // The whole caller-side path is crash-isolated: chaos panics at
-        // the Admit/Respond boundaries surface as typed errors, never as
-        // an unwinding caller.
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.submit(doc, old, new, deadline)));
-        let result = outcome.unwrap_or(Err(ServeError::Panicked { attempts: 0 }));
-        self.shared.stats(|s| match &result {
-            Ok(resp) => {
-                s.ok += 1;
-                s.latency.record(start.elapsed().as_nanos() as u64);
-                if resp.degraded {
-                    s.degraded += 1;
-                }
-            }
-            Err(ServeError::Overloaded(_)) => s.rejected += 1,
-            Err(ServeError::DeadlineExceeded) => s.shed += 1,
-            Err(_) => {}
-        });
-        result.map(|mut resp| {
-            resp.latency = start.elapsed();
-            resp
-        })
-    }
-
-    fn submit(
-        &self,
-        doc: &str,
-        old: usize,
-        new: usize,
-        deadline: Option<Duration>,
-    ) -> Result<ServeResponse, ServeError> {
-        let shared = &self.shared;
-        shared.stats(|s| s.requests += 1);
-        shared.chaos_point(ServeBoundary::Admit, None);
-        let nodes = shared.cache.pair_nodes(doc, old, new)?;
-        let grant = shared
-            .pool
-            .try_admit(nodes)
-            .map_err(|e| ServeError::Overloaded(OverloadReason::Pool(e)))?;
-        let tx = self.tx.as_ref().ok_or(ServeError::ShuttingDown)?;
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let now = Instant::now();
-        let job = Job {
-            doc: doc.to_string(),
-            old,
-            new,
-            deadline: deadline.map(|d| (now + d, d)),
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            reply: reply_tx,
-            grant,
-        };
-        match tx.try_send(job) {
-            Ok(()) => {}
-            // The rejected job (and its pool grant) is dropped here.
-            Err(TrySendError::Full(_)) => {
-                return Err(ServeError::Overloaded(OverloadReason::QueueFull))
-            }
-            Err(TrySendError::Disconnected(_)) => return Err(ServeError::ShuttingDown),
-        }
-        let result = match deadline {
-            None => reply_rx
-                .recv()
-                .unwrap_or(Err(ServeError::Panicked { attempts: 1 })),
-            Some(d) => {
-                let remaining = d.saturating_sub(now.elapsed());
-                match reply_rx.recv_timeout(remaining) {
-                    Ok(r) => r,
-                    Err(RecvTimeoutError::Timeout) => Err(ServeError::DeadlineExceeded),
-                    Err(RecvTimeoutError::Disconnected) => {
-                        Err(ServeError::Panicked { attempts: 1 })
-                    }
-                }
-            }
-        };
-        shared.chaos_point(ServeBoundary::Respond, None);
-        result
-    }
 
     /// A cumulative statistics snapshot since service start.
     pub fn report(&self) -> ServeReport {
-        let mut report = self.shared.stats(|s| s.clone());
+        let mut report = self.stats(|s| s.clone());
         report.elapsed_nanos = self.started.elapsed().as_nanos() as u64;
         report
     }
@@ -291,58 +366,81 @@ impl DiffService {
     /// Re-validates every cached entry against a fresh index rebuild
     /// (see [`CacheValidation`]).
     pub fn validate_cache(&self) -> CacheValidation {
-        self.shared.cache.validate()
+        self.cache.validate()
     }
 
     /// A snapshot of the attached chaos observer (None when the service
     /// was built without one) — the soak test reads boundary coverage
     /// from here.
     pub fn chaos_snapshot(&self) -> Option<ChaosObserver> {
-        self.shared
-            .chaos
+        self.chaos
             .as_ref()
             .map(|m| m.lock().unwrap_or_else(PoisonError::into_inner).clone())
     }
 }
 
-impl Drop for DiffService {
-    fn drop(&mut self) {
-        self.tx = None; // close the queue; workers drain and exit
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+/// The run slots: at most `free` requests run at once, and waiting
+/// requests take freed slots in arrival order.
+struct RunSlots {
+    queue: Mutex<SlotQueue>,
+    freed: Condvar,
+}
+
+#[derive(Default)]
+struct SlotQueue {
+    free: usize,
+    next_ticket: u64,
+    waiting: VecDeque<u64>,
+}
+
+/// A held run slot; dropping it frees the slot.
+struct RunSlot<'a>(&'a RunSlots);
+
+impl RunSlots {
+    /// Waits for a slot until `until` (forever when `None`); `None` when
+    /// the wait timed out. The queue lock is released while it waits.
+    fn acquire(&self, until: Option<Instant>) -> Option<RunSlot<'_>> {
+        let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        let ticket = q.next_ticket;
+        q.next_ticket += 1;
+        q.waiting.push_back(ticket);
+        let blocked = |q: &mut SlotQueue| q.free == 0 || q.waiting.front() != Some(&ticket);
+        let mut q = match until {
+            None => self
+                .freed
+                .wait_while(q, blocked)
+                .unwrap_or_else(PoisonError::into_inner),
+            Some(at) => {
+                let left = at.saturating_duration_since(Instant::now());
+                let waited = self.freed.wait_timeout_while(q, left, blocked);
+                waited.unwrap_or_else(PoisonError::into_inner).0
+            }
+        };
+        let granted = !blocked(&mut q);
+        q.waiting.retain(|&t| t != ticket);
+        q.free -= usize::from(granted);
+        if q.free > 0 && !q.waiting.is_empty() {
+            // Whoever is now first in line may take a slot too.
+            self.freed.notify_all();
         }
+        granted.then(|| RunSlot(self))
     }
 }
 
-fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
-    loop {
-        // Hold the receiver lock only for the dequeue itself.
-        // analyze: allow(S054) the receiver lock IS the dequeue discipline: `recv` must run under it, and nothing else ever holds it
-        let job = match rx.lock().unwrap_or_else(PoisonError::into_inner).recv() {
-            Ok(job) => job,
-            Err(_) => return, // queue closed: shutdown
-        };
-        // Backstop isolation: chaos panics fired at the Dequeue or
-        // CacheLookup boundaries unwind to here, not out of the thread.
-        let outcome = catch_unwind(AssertUnwindSafe(|| process(shared, &job)));
-        let result = outcome.unwrap_or_else(|_| {
-            shared.quarantine_pair(&job.doc, job.old, job.new);
-            Err(ServeError::Panicked { attempts: 1 })
-        });
-        // A caller that gave up (deadline) dropped its receiver; that is
-        // its prerogative, not an error here.
-        let _ = job.reply.send(result);
-        drop(job); // releases the pool grant
+impl Drop for RunSlot<'_> {
+    fn drop(&mut self) {
+        let mut q = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        q.free += 1;
+        if !q.waiting.is_empty() {
+            self.0.freed.notify_all();
+        }
     }
 }
 
 /// Deadline pressure: how many ladder rungs to skip (based on the
 /// remaining fraction of the deadline) and the remaining wall time.
 /// `None` means the deadline already passed.
-fn pressure(
-    deadline: Option<(Instant, Duration)>,
-    rungs: usize,
-) -> Option<(usize, Option<Duration>)> {
+fn pressure(deadline: Deadline, rungs: usize) -> Option<(usize, Option<Duration>)> {
     let Some((at, total)) = deadline else {
         return Some((0, None));
     };
@@ -358,128 +456,12 @@ fn pressure(
     Some((skip.min(rungs.saturating_sub(1)), Some(remaining)))
 }
 
-fn process(shared: &Shared, job: &Job) -> Result<ServeResponse, ServeError> {
-    shared.chaos_point(ServeBoundary::Dequeue, None);
-    if pressure(job.deadline, 1).is_none() {
-        // Expired while queued: shed without touching the cache.
-        return Err(ServeError::DeadlineExceeded);
-    }
-    shared.chaos_point(ServeBoundary::CacheLookup, None);
-    let (mut entry_old, miss_old) = shared.cache.lookup(&job.doc, job.old)?;
-    let (mut entry_new, miss_new) = shared.cache.lookup(&job.doc, job.new)?;
-    let mut cache_hit = !(miss_old || miss_new);
-    shared.stats(|s| {
-        s.cache_hits += u64::from(!miss_old) + u64::from(!miss_new);
-        s.cache_misses += u64::from(miss_old) + u64::from(miss_new);
-    });
-    let policy = shared.config.retry;
-    let max_attempts = policy.max_attempts();
-    let mut panics = 0u32;
-    let mut last_error: Option<ServeError> = None;
-    for attempt in 1..=max_attempts {
-        if attempt > 1 {
-            shared.stats(|s| s.retried += 1);
-            std::thread::sleep(policy.backoff(attempt - 1, job.seq));
-        }
-        let Some((skip, remaining)) = pressure(job.deadline, shared.config.rungs()) else {
-            return Err(last_error.unwrap_or(ServeError::DeadlineExceeded));
-        };
-        let step = (attempt - 1) as usize + skip;
-        let rung = shared.config.rung(step);
-        let token = CancelToken::new();
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            run_attempt(shared, &entry_old, &entry_new, rung, remaining, &token)
-        }));
-        match run {
-            Ok(Ok(mut resp)) => {
-                resp.retried = attempt - 1;
-                resp.shed = skip > 0;
-                resp.degraded = resp.degraded || step > 0;
-                resp.cache_hit = cache_hit;
-                return Ok(resp);
-            }
-            Ok(Err(ServeError::Cancelled)) => return Err(ServeError::Cancelled),
-            Ok(Err(e)) => last_error = Some(e),
-            Err(_) => {
-                // Crash isolation: quarantine what the attempt touched,
-                // then re-fetch (rebuilding) for the next attempt.
-                panics += 1;
-                shared.quarantine_pair(&job.doc, job.old, job.new);
-                let (o, _) = shared.cache.lookup(&job.doc, job.old)?;
-                let (n, _) = shared.cache.lookup(&job.doc, job.new)?;
-                entry_old = o;
-                entry_new = n;
-                cache_hit = false;
-                shared.stats(|s| s.cache_misses += 2);
-                last_error = None;
-            }
-        }
-    }
-    Err(match last_error {
-        Some(e) => e,
-        None => ServeError::Panicked {
-            attempts: panics.max(1),
-        },
-    })
-}
-
-fn run_attempt(
-    shared: &Shared,
-    old: &VersionEntry,
-    new: &VersionEntry,
-    rung: Rung,
-    remaining: Option<Duration>,
-    token: &CancelToken,
-) -> Result<ServeResponse, ServeError> {
-    shared.chaos_point(ServeBoundary::DiffStart, Some(token));
-    let mut budgets: Budgets = shared.config.budgets;
-    if let Some(rem) = remaining {
-        budgets = budgets.with_max_wall_time(rem);
-    }
-    let audit = if shared.config.audit {
-        Audit::On
-    } else {
-        Audit::Off
-    };
-    // A response carries no delta tree: build one only for the audit.
-    let differ = Differ::new()
-        .budget(budgets)
-        .cancel(token)
-        .audit(audit)
-        .delta(shared.config.audit);
-    let differ = match rung {
-        Rung::GumTree => differ.strategy(MatchStrategy::gumtree()),
-        Rung::FastMatch => {
-            // The chain-reuse path: seed the matcher from the cached
-            // indexes instead of rebuilding either one.
-            let (seed, _) = prune_identical_indexed(&old.tree, &old.index, &new.tree, &new.index)
-                .map_err(|e| ServeError::Diff(DiffError::from(e)))?;
-            differ.prune_seed(seed)
-        }
-        Rung::Simple => differ.strategy(MatchStrategy::Simple),
-    };
-    let result = differ
-        .diff(&old.tree, &new.tree)
-        .map_err(ServeError::from)?;
-    shared.chaos_point(ServeBoundary::DiffEnd, Some(token));
-    Ok(ServeResponse {
-        ops: result.script.op_counts(),
-        script_len: result.script.len(),
-        strategy: rung.name(),
-        degraded: result.degraded.any(),
-        retried: 0,
-        shed: false,
-        cache_hit: false,
-        audit_clean: result.audit.as_ref().map(|a| a.is_clean()),
-        latency: Duration::ZERO,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hierdiff_guard::RetryPolicy;
     use hierdiff_workload::{generate_docset, DocSetProfile};
+    use std::sync::Arc;
 
     /// A panicking attempt must quarantine *exactly* the two cache
     /// entries it touched — not the rest of the chain, not other
@@ -501,7 +483,7 @@ mod tests {
         service.ingest("a", set_a.versions);
         service.ingest("b", set_b.versions);
         let index_of = |doc: &str, v: usize| {
-            let (entry, miss) = service.shared.cache.lookup(doc, v).expect("cached");
+            let (entry, miss) = service.cache.lookup(doc, v).expect("cached");
             assert!(!miss, "{doc}/{v}: probe lookups never rebuild");
             entry.index
         };
@@ -564,7 +546,7 @@ mod tests {
         a.ingest("doc", dirty);
         b.ingest("doc", compacted);
         for v in 0..n {
-            let (entry, _) = a.shared.cache.lookup("doc", v).expect("cached");
+            let (entry, _) = a.cache.lookup("doc", v).expect("cached");
             assert!(entry.tree.is_compact(), "version {v}");
         }
         for old in 0..n {

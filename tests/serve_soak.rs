@@ -4,7 +4,7 @@
 //! layer:
 //!
 //! * the process never aborts — every request returns `Ok` or a typed
-//!   [`ServeError`], even with panics firing inside workers;
+//!   [`ServeError`], even with panics firing inside requests;
 //! * no lock is poisoned — reports, cache sweeps, and chaos snapshots
 //!   all remain readable after every fault;
 //! * post-soak, every cached entry re-validates against a fresh
@@ -22,7 +22,7 @@ use hierdiff::tree::FingerprintIndex;
 use hierdiff::workload::{generate_docset, generate_trace, DocSetProfile, TraceProfile};
 use hierdiff::{CancelToken, RetryPolicy};
 
-/// Keeps injected worker panics (typed [`ServeChaosPanic`] payloads) from
+/// Keeps injected request panics (typed [`ServeChaosPanic`] payloads) from
 /// spamming the test output; genuine panics still print.
 fn silence_injected_panics() {
     static QUIET: Once = Once::new();
@@ -126,7 +126,7 @@ fn thousand_request_soak_stays_typed_and_uncorrupted() {
             validation.is_clean(),
             "seed {seed}: cache corruption survived the soak: {validation:?}"
         );
-        drop(service); // join workers; must not hang
+        drop(service); // must not hang
     }
 
     assert!(
