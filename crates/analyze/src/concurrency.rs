@@ -32,8 +32,10 @@
 //!   observe-under-lock / execute-outside split.
 //! * **S053** — a `catch_unwind` over captured `&mut`/`AssertUnwindSafe`
 //!   state with no quarantine call after it in the same function.
-//! * **S054** — a blocking call (channel ops, `sleep`, `join`) inside a
-//!   held region.
+//! * **S054** — a blocking call (channel ops, `sleep`, `join`, condvar
+//!   waits) inside a held region. A timed form (`…_timeout…`) counts like
+//!   its untimed one; a condvar wait handed the held guard itself is
+//!   exempt, since it releases that very lock while it waits.
 //! * **S055** — a `Guard::tick()`/`checkpoint()` inside a held region (a
 //!   budget checkpoint that parks or cancels must not own a lock).
 //!
@@ -71,16 +73,22 @@ const FOREIGN_CALLS: &[&str] = &[
     "request",
 ];
 
-/// Calls that can block the holding thread (S054).
+/// Calls that can block the holding thread (S054), named by their
+/// untimed form: `recv_timeout` counts as `recv`, `wait_timeout_while` as
+/// `wait_while`.
 const BLOCKING_CALLS: &[&str] = &[
     "sleep",
     "recv",
-    "recv_timeout",
     "send",
     "join",
     "wait",
+    "wait_while",
     "park",
 ];
+
+/// Condvar waits: blocking, except on the held lock's own guard, which
+/// the wait releases (S054).
+const CONDVAR_WAITS: &[&str] = &["wait", "wait_while"];
 
 /// Guard checkpoints that must not run under a lock (S055).
 const CHECKPOINT_CALLS: &[&str] = &["tick", "checkpoint"];
@@ -167,6 +175,8 @@ struct Acq {
     method: String,
     blessed: bool,
     stored: bool,
+    /// The binding a stored guard lives in (`let [mut] g = …`).
+    guard: Option<String>,
     /// Held region `[start, end]` in significant-token indices.
     region: (usize, usize),
 }
@@ -175,6 +185,8 @@ struct Acq {
 /// running under a sink's lock.
 struct Region {
     lock: String,
+    /// The held guard's binding, for the condvar-wait exemption.
+    guard: Option<String>,
     start: usize,
     end: usize,
     /// The acquisition (or sink call) head, excluded from scanning.
@@ -235,6 +247,7 @@ pub fn concurrency_discipline(
         for a in list {
             out.push(Region {
                 lock: a.lock.clone(),
+                guard: a.guard.clone(),
                 start: a.region.0,
                 end: a.region.1,
                 head: a.site,
@@ -502,6 +515,11 @@ fn collect_acquisitions(
         let is_let = file.word(stmt_start, "let");
         let chained = file.punct(suffix_end + 1, '.');
         let stored = is_let && !chained;
+        let binding = stmt_start + 1 + usize::from(file.word(stmt_start + 1, "mut"));
+        let guard = file
+            .tok(binding)
+            .filter(|t| stored && t.kind == TokenKind::Ident)
+            .map(|t| file.lexed.text(t));
         let region_end = if stored {
             enclosing_block_end(file, body_open, body_close, s)
         } else {
@@ -513,6 +531,7 @@ fn collect_acquisitions(
             method,
             blessed,
             stored,
+            guard,
             region: (stmt_start, region_end),
         });
     }
@@ -596,6 +615,7 @@ fn add_closure_regions(
                     };
                     regions.entry(caller).or_default().push(Region {
                         lock: lock.clone(),
+                        guard: None,
                         start: body_start,
                         end: body_end,
                         head: site.at,
@@ -677,9 +697,17 @@ fn scan_region(
             continue;
         }
         let name = file.lexed.text(t);
+        let untimed = name.replacen("_timeout", "", 1);
         let (code, what): (&'static str, &str) = if FOREIGN_CALLS.contains(&name.as_str()) {
             ("S052", "foreign call")
-        } else if BLOCKING_CALLS.contains(&name.as_str()) {
+        } else if BLOCKING_CALLS.contains(&untimed.as_str()) {
+            let on_held_guard = CONDVAR_WAITS.contains(&untimed.as_str())
+                && r.guard.as_deref().is_some_and(|g| {
+                    file.word(s + 2, g) && (file.punct(s + 3, ',') || file.punct(s + 3, ')'))
+                });
+            if on_held_guard {
+                continue;
+            }
             ("S054", "blocking call")
         } else if CHECKPOINT_CALLS.contains(&name.as_str()) {
             ("S055", "guard checkpoint")
@@ -1166,6 +1194,30 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].code, "S054");
         assert_eq!(f[0].line, 3);
+    }
+
+    #[test]
+    fn s054_timed_waits_count_like_untimed_ones() {
+        let src = format!(
+            "use std::sync::{{Condvar, Mutex, MutexGuard, PoisonError}};\n\
+             fn f(m: &Mutex<u8>, cv: &Condvar, other: MutexGuard<'_, u8>, d: Duration) {{\n    let g = m.lock().{BLESSED};\n    let other = cv.wait_timeout(other, d).{BLESSED}.0;\n    let _ = cv.wait_timeout_while(other, d, |v| *v == 0);\n    drop(g);\n}}\n"
+        );
+        let files = ws(&[("crates/serve/src/x.rs", &src)]);
+        let (f, _, _) = run(&files);
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f.iter().all(|f| f.code == "S054"), "{f:?}");
+        assert_eq!((f[0].line, f[1].line), (4, 5));
+    }
+
+    #[test]
+    fn s054_condvar_wait_on_the_held_guard_is_exempt() {
+        let src = format!(
+            "use std::sync::{{Condvar, Mutex, PoisonError}};\n\
+             fn f(m: &Mutex<u8>, cv: &Condvar, d: Duration) {{\n    let mut g = m.lock().{BLESSED};\n    g = cv.wait(g).{BLESSED};\n    g = cv.wait_while(g, |v| *v == 0).{BLESSED};\n    let (g, _) = cv.wait_timeout_while(g, d, |v| *v == 0).{BLESSED};\n    drop(g);\n}}\n"
+        );
+        let files = ws(&[("crates/serve/src/x.rs", &src)]);
+        let (f, _, _) = run(&files);
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

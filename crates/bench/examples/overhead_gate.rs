@@ -101,8 +101,7 @@ fn governance_arm<'a>(t1: &'a Doc, t2: &'a Doc, token: &'a CancelToken) -> Arm<'
     let budgets = Budgets::unlimited()
         .with_max_nodes(10_000_000)
         .with_max_lcs_cells(u64::MAX / 2)
-        .with_max_wall_time(Duration::from_secs(3600))
-        .with_max_memory_estimate(usize::MAX / 2);
+        .with_max_wall_time(Duration::from_secs(3600));
     let plain = Differ::new()
         .audit(Audit::Off)
         .diff(t1, t2)

@@ -190,8 +190,8 @@ impl<'o> Differ<'o> {
     }
 
     /// Sets resource budgets for the run (`max_nodes`, `max_lcs_cells`,
-    /// `max_wall_time`, `max_memory_estimate`). Applies to batch runs too:
-    /// each pair gets its own guard over the same ceilings.
+    /// `max_wall_time`). Applies to batch runs too: each pair gets its own
+    /// guard over the same ceilings.
     pub fn budget(mut self, budgets: hierdiff_guard::Budgets) -> Differ<'o> {
         self.config.budgets = budgets;
         self

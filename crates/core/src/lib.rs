@@ -349,8 +349,8 @@ pub(crate) fn diff_observed<V: NodeValue>(
     mut obs: Option<&mut dyn hierdiff_obs::PipelineObserver>,
 ) -> Result<DiffResult<V>, DiffError> {
     // Resource governance: one guard per run, threaded through every stage.
-    // `max_nodes` / `max_memory_estimate` are admission checks — they
-    // reject the run before any pipeline work starts.
+    // `max_nodes` is an admission check: it rejects the run before any
+    // pipeline work starts.
     let guard = Guard::new(config.budgets, config.cancel.clone());
     guard.admit(old.len() + new.len())?;
     let mut degraded = Degraded::default();

@@ -19,7 +19,7 @@ use hierdiff_obs::{Phase, PipelineObserver};
 
 use crate::CancelToken;
 
-/// Which edge of a phase span an [`Injection`] targets.
+/// Which edge of a phase span a planned fault targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Boundary {
     /// The `phase_start` hook.
@@ -43,7 +43,7 @@ pub enum ServeBoundary {
     CacheLookup,
     /// Inside the crash-isolation scope, before the diff pipeline runs.
     DiffStart,
-    /// After the pipeline returned, before cache write-back.
+    /// The pipeline returned; the response is not yet built.
     DiffEnd,
     /// Before the response is delivered to the caller.
     Respond,
@@ -127,13 +127,13 @@ pub enum Fault {
 /// One planned fault: `fault` fires whenever `phase`'s `boundary` hook
 /// runs.
 #[derive(Clone, Debug)]
-pub struct Injection {
+struct Injection {
     /// The phase whose boundary is attacked.
-    pub phase: Phase,
+    phase: Phase,
     /// Which edge of the span.
-    pub boundary: Boundary,
+    boundary: Boundary,
     /// What happens there.
-    pub fault: Fault,
+    fault: Fault,
 }
 
 /// One planned serve-level fault: `fault` fires whenever the service
@@ -237,11 +237,6 @@ impl ChaosObserver {
                 return ChaosObserver::new().inject_serve(boundary, fault);
             }
         }
-    }
-
-    /// The planned faults.
-    pub fn injections(&self) -> &[Injection] {
-        &self.injections
     }
 
     /// The planned serve-boundary faults.
@@ -428,13 +423,13 @@ mod tests {
     fn seeded_is_deterministic() {
         let a = ChaosObserver::seeded(42, Fault::Panic);
         let b = ChaosObserver::seeded(42, Fault::Panic);
-        assert_eq!(a.injections()[0].phase, b.injections()[0].phase);
-        assert_eq!(a.injections()[0].boundary, b.injections()[0].boundary);
+        assert_eq!(a.injections[0].phase, b.injections[0].phase);
+        assert_eq!(a.injections[0].boundary, b.injections[0].boundary);
         // Different seeds eventually pick different boundaries.
         let picks: std::collections::HashSet<(Phase, Boundary)> = (0..64)
             .map(|s| {
                 let o = ChaosObserver::seeded(s, Fault::Panic);
-                (o.injections()[0].phase, o.injections()[0].boundary)
+                (o.injections[0].phase, o.injections[0].boundary)
             })
             .collect();
         assert!(

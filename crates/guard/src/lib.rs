@@ -15,7 +15,7 @@
 //! * [`CancelToken`] — a cheap shared flag; firing it makes every run
 //!   holding a clone return [`GuardError::Cancelled`] at its next check.
 //! * [`Budgets`] — optional per-run ceilings (`max_nodes`, `max_lcs_cells`,
-//!   `max_wall_time`, `max_memory_estimate`).
+//!   `max_wall_time`).
 //! * [`Guard`] — the per-run checker the pipeline threads through its
 //!   stages. [`Guard::unlimited`] is free: every check short-circuits.
 //! * [`ChaosObserver`] — a deterministic fault injector implementing
@@ -40,14 +40,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod chaos;
-mod pool;
 mod retry;
 
 pub use chaos::{
-    Boundary, ChaosObserver, ChaosPanic, Fault, FaultSite, Injection, ServeBoundary,
-    ServeChaosPanic, ServeInjection,
+    Boundary, ChaosObserver, ChaosPanic, Fault, FaultSite, ServeBoundary, ServeChaosPanic,
+    ServeInjection,
 };
-pub use pool::{BudgetPool, PoolExhausted, PoolGrant};
 pub use retry::{Attempt, Retried, RetryPolicy};
 
 /// A shared cancellation flag. Cloning shares the flag: firing any clone
@@ -87,9 +85,6 @@ pub enum Budget {
     /// Wall clock passed the deadline derived from
     /// [`Budgets::max_wall_time`].
     WallTime,
-    /// The up-front memory estimate exceeded
-    /// [`Budgets::max_memory_estimate`].
-    MemoryEstimate,
 }
 
 impl Budget {
@@ -99,7 +94,6 @@ impl Budget {
             Budget::Nodes => "max_nodes",
             Budget::LcsCells => "max_lcs_cells",
             Budget::WallTime => "max_wall_time",
-            Budget::MemoryEstimate => "max_memory_estimate",
         }
     }
 }
@@ -130,13 +124,6 @@ impl std::fmt::Display for GuardError {
 
 impl std::error::Error for GuardError {}
 
-/// Crude per-node memory estimate (bytes) used by the
-/// [`Budgets::max_memory_estimate`] admission check: arena slot, value,
-/// and the matching/ordinal side tables the pipeline allocates per node.
-/// An estimate, not an accounting — callers wanting precision should size
-/// `max_nodes` instead.
-pub const NODE_MEM_ESTIMATE: usize = 160;
-
 /// Optional per-run resource ceilings. `None` in every field (the
 /// [`Budgets::unlimited`] default) disables all checks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -150,10 +137,6 @@ pub struct Budgets {
     pub max_lcs_cells: Option<u64>,
     /// Wall-clock ceiling for the run, measured from [`Guard::new`].
     pub max_wall_time: Option<Duration>,
-    /// Ceiling on the up-front memory estimate
-    /// (`(t1.len() + t2.len()) * NODE_MEM_ESTIMATE` bytes), checked once
-    /// at admission.
-    pub max_memory_estimate: Option<usize>,
 }
 
 impl Budgets {
@@ -177,12 +160,6 @@ impl Budgets {
     /// Sets the wall-clock ceiling.
     pub fn with_max_wall_time(mut self, d: Duration) -> Budgets {
         self.max_wall_time = Some(d);
-        self
-    }
-
-    /// Sets the memory-estimate ceiling (bytes).
-    pub fn with_max_memory_estimate(mut self, bytes: usize) -> Budgets {
-        self.max_memory_estimate = Some(bytes);
         self
     }
 
@@ -255,17 +232,12 @@ impl Guard {
     }
 
     /// One-shot admission check for a run over `total_nodes` input nodes
-    /// (`t1.len() + t2.len()`): enforces `max_nodes` and
-    /// `max_memory_estimate` before any pipeline work starts.
+    /// (`t1.len() + t2.len()`): enforces `max_nodes` before any pipeline
+    /// work starts.
     pub fn admit(&self, total_nodes: usize) -> Result<(), GuardError> {
         if let Some(max) = self.budgets.max_nodes {
             if total_nodes > max {
                 return Err(GuardError::Budget(Budget::Nodes));
-            }
-        }
-        if let Some(max) = self.budgets.max_memory_estimate {
-            if total_nodes.saturating_mul(NODE_MEM_ESTIMATE) > max {
-                return Err(GuardError::Budget(Budget::MemoryEstimate));
             }
         }
         Ok(())
@@ -371,16 +343,6 @@ mod tests {
         let g = Guard::new(Budgets::unlimited().with_max_nodes(10), None);
         assert!(g.admit(10).is_ok());
         assert_eq!(g.admit(11), Err(GuardError::Budget(Budget::Nodes)));
-    }
-
-    #[test]
-    fn memory_estimate_admission() {
-        let g = Guard::new(
-            Budgets::unlimited().with_max_memory_estimate(NODE_MEM_ESTIMATE * 5),
-            None,
-        );
-        assert!(g.admit(5).is_ok());
-        assert_eq!(g.admit(6), Err(GuardError::Budget(Budget::MemoryEstimate)));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! service that retries forever converts one poisoned request into a
 //! stuck worker, and a service whose backoff depends on ambient entropy
 //! cannot replay a failing trace. `RetryPolicy` therefore fixes the
-//! attempt ceiling up front and derives its jitter from seeds the caller
-//! controls (policy seed ⊕ per-request salt), using the same splitmix64
-//! generator as [`ChaosObserver`](crate::ChaosObserver) — one RNG path
+//! attempt ceiling up front and derives its jitter from the per-request
+//! salt the caller passes, using the same splitmix64 generator as
+//! [`ChaosObserver`](crate::ChaosObserver) — one RNG path
 //! for both injecting faults and recovering from them, so a chaos run
 //! reproduces bit-for-bit from its seed.
 //!
@@ -28,6 +28,9 @@ use std::time::Duration;
 
 use crate::chaos::splitmix64;
 
+/// The cap on one backoff sleep, however many attempts came before.
+const MAX_BACKOFF: Duration = Duration::from_millis(250);
+
 /// A bounded, deterministic retry schedule: up to
 /// [`max_attempts`](RetryPolicy::max_attempts) tries per request, with
 /// exponential backoff between failed attempts and seeded jitter (half
@@ -36,8 +39,6 @@ use crate::chaos::splitmix64;
 pub struct RetryPolicy {
     max_attempts: u32,
     base_backoff: Duration,
-    max_backoff: Duration,
-    jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -50,14 +51,12 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// A policy allowing `retries` retries after the first attempt
-    /// (`max_attempts = retries + 1`), with a 1 ms base backoff capped at
-    /// 250 ms.
+    /// (`max_attempts = retries + 1`), with a 1 ms base backoff. Every
+    /// backoff is capped at 250 ms.
     pub fn retries(retries: u32) -> RetryPolicy {
         RetryPolicy {
             max_attempts: retries.saturating_add(1),
             base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(250),
-            jitter_seed: 0,
         }
     }
 
@@ -67,24 +66,10 @@ impl RetryPolicy {
     }
 
     /// Sets the backoff before the first retry; attempt `n`'s backoff is
-    /// `base × 2^(n-1)`, capped at the [`max
-    /// backoff`](RetryPolicy::with_max_backoff). A zero base disables
-    /// backoff sleeps entirely (useful in tests).
+    /// `base × 2^(n-1)`, capped at 250 ms. A zero base disables backoff
+    /// sleeps entirely (useful in tests).
     pub fn with_base_backoff(mut self, base: Duration) -> RetryPolicy {
         self.base_backoff = base;
-        self
-    }
-
-    /// Caps the exponential backoff growth.
-    pub fn with_max_backoff(mut self, max: Duration) -> RetryPolicy {
-        self.max_backoff = max;
-        self
-    }
-
-    /// Seeds the jitter stream. Two services with the same seed replay
-    /// the same backoff schedule for the same request salts.
-    pub fn with_jitter_seed(mut self, seed: u64) -> RetryPolicy {
-        self.jitter_seed = seed;
         self
     }
 
@@ -104,8 +89,8 @@ impl RetryPolicy {
     /// de-synchronise; the result is a pure function of
     /// `(policy, attempt, salt)`.
     ///
-    /// The exponential step is `base × 2^(attempt-1)` capped at the max
-    /// backoff; jitter scales it into `[step/2, step]`.
+    /// The exponential step is `base × 2^(attempt-1)` capped at 250 ms;
+    /// jitter scales it into `[step/2, step]`.
     pub fn backoff(&self, attempt: u32, salt: u64) -> Duration {
         let base = self.base_backoff.as_nanos() as u64;
         if base == 0 {
@@ -114,9 +99,9 @@ impl RetryPolicy {
         let shift = attempt.saturating_sub(1).min(32);
         let step = base
             .saturating_shl(shift)
-            .min(self.max_backoff.as_nanos() as u64)
+            .min(MAX_BACKOFF.as_nanos() as u64)
             .max(1);
-        let mut state = self.jitter_seed ^ salt.rotate_left(17) ^ u64::from(attempt);
+        let mut state = salt.rotate_left(17) ^ u64::from(attempt);
         let r = splitmix64(&mut state);
         let half = step / 2;
         let jittered = step - half + (r % (half + 1));
@@ -179,7 +164,7 @@ pub enum Retried<T, E> {
 }
 
 /// `u64::saturating_shl` is unstable; a shift past 63 saturates to max
-/// here, which the max-backoff cap immediately clamps anyway.
+/// here, which the backoff cap immediately clamps anyway.
 trait SaturatingShl {
     fn saturating_shl(self, shift: u32) -> u64;
 }
@@ -214,13 +199,11 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_within_bounds() {
-        let p = RetryPolicy::retries(8)
-            .with_base_backoff(Duration::from_millis(2))
-            .with_max_backoff(Duration::from_millis(64));
+        let p = RetryPolicy::retries(8).with_base_backoff(Duration::from_millis(2));
         let mut prev = Duration::ZERO;
         for attempt in 1..=8 {
             let d = p.backoff(attempt, 0);
-            let step = Duration::from_millis(2u64 << (attempt - 1)).min(Duration::from_millis(64));
+            let step = Duration::from_millis(2u64 << (attempt - 1)).min(MAX_BACKOFF);
             assert!(d <= step, "attempt {attempt}: {d:?} over step {step:?}");
             assert!(d >= step / 2, "attempt {attempt}: {d:?} under half step");
             assert!(d >= prev / 2, "collapsing backoff at attempt {attempt}");
@@ -230,7 +213,7 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_and_salted() {
-        let p = RetryPolicy::retries(3).with_jitter_seed(99);
+        let p = RetryPolicy::retries(3);
         assert_eq!(p.backoff(2, 5), p.backoff(2, 5));
         let distinct: std::collections::HashSet<Duration> =
             (0..32).map(|salt| p.backoff(1, salt)).collect();
@@ -318,11 +301,9 @@ mod tests {
 
     #[test]
     fn huge_attempt_saturates_at_max_backoff() {
-        let p = RetryPolicy::retries(u32::MAX)
-            .with_base_backoff(Duration::from_millis(1))
-            .with_max_backoff(Duration::from_millis(50));
+        let p = RetryPolicy::retries(u32::MAX);
         let d = p.backoff(1_000_000, 0);
-        assert!(d <= Duration::from_millis(50));
-        assert!(d >= Duration::from_millis(25));
+        assert!(d <= MAX_BACKOFF);
+        assert!(d >= MAX_BACKOFF / 2);
     }
 }

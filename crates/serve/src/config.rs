@@ -1,9 +1,10 @@
-//! Service configuration: run slots, admission ceilings, retry schedule,
-//! deadlines, and the degradation ladder.
+//! Service configuration: run slots, the two admission ceilings
+//! (requests and nodes in flight), retry schedule, deadlines, and the
+//! degradation ladder.
 
 use std::time::Duration;
 
-use hierdiff_guard::{Budgets, RetryPolicy, NODE_MEM_ESTIMATE};
+use hierdiff_guard::{Budgets, RetryPolicy};
 
 /// One rung of the service-level degradation ladder, cheapest last.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,10 +39,11 @@ pub struct ServeConfig {
     /// caller's thread (clamped to ≥ 1). The others wait for a slot in
     /// arrival order, up to their deadline.
     pub workers: usize,
-    /// Service-level memory-estimate capacity for the
-    /// [`BudgetPool`](hierdiff_guard::BudgetPool), in bytes.
-    pub capacity_bytes: usize,
-    /// Maximum requests holding pool grants at once.
+    /// Admission ceiling on nodes in flight: the summed node counts of
+    /// both versions of every admitted request, running or waiting.
+    pub capacity_nodes: usize,
+    /// Admission ceiling on requests admitted at once, running or
+    /// waiting for a run slot.
     pub max_concurrent: usize,
     /// Per-request retry schedule for panicked attempts.
     pub retry: RetryPolicy,
@@ -65,8 +67,8 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             workers: 2,
-            // Generous default: ~256 MiB of node estimates.
-            capacity_bytes: 256 << 20,
+            // Generous default: 256 MiB at 160 bytes a node.
+            capacity_nodes: 1_677_721,
             max_concurrent: 8,
             retry: RetryPolicy::default(),
             deadline: None,
@@ -84,14 +86,13 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the admission pool capacity, expressed in *nodes* (the
-    /// pool charges [`NODE_MEM_ESTIMATE`] bytes per node).
+    /// Overrides the ceiling on nodes in flight.
     pub fn with_capacity_nodes(mut self, nodes: usize) -> ServeConfig {
-        self.capacity_bytes = nodes.saturating_mul(NODE_MEM_ESTIMATE);
+        self.capacity_nodes = nodes;
         self
     }
 
-    /// Overrides the concurrent-grant ceiling.
+    /// Overrides the ceiling on requests admitted at once.
     pub fn with_max_concurrent(mut self, n: usize) -> ServeConfig {
         self.max_concurrent = n.max(1);
         self

@@ -3,25 +3,51 @@
 //! Every way a request can fail maps to exactly one [`ServeError`]
 //! variant — the chaos soak asserts that no fault, at any boundary,
 //! escapes this type (no abort, no untyped panic reaching the caller,
-//! no poisoned lock).
+//! no poisoned lock). An admission rejection names the ceiling it hit
+//! as an [`Overload`], in requests or in nodes.
 
 use std::fmt;
 
 use hierdiff_core::DiffError;
-use hierdiff_guard::PoolExhausted;
 
-/// Why admission control turned a request away.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum OverloadReason {
-    /// The service-level budget pool refused the reservation (concurrency
-    /// or memory-estimate ceiling).
-    Pool(PoolExhausted),
+/// Why admission turned a request away. Both ceilings count what is
+/// admitted, running or waiting for a run slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Overload {
+    /// [`max_concurrent`](crate::ServeConfig::max_concurrent) requests are
+    /// already admitted.
+    Concurrency {
+        /// Requests admitted.
+        active: usize,
+        /// The ceiling.
+        max: usize,
+    },
+    /// The request's nodes would push the nodes in flight past
+    /// [`capacity_nodes`](crate::ServeConfig::capacity_nodes).
+    Capacity {
+        /// Nodes the request would reserve (both versions).
+        requested: usize,
+        /// Nodes reserved by admitted requests.
+        in_use: usize,
+        /// The ceiling.
+        capacity: usize,
+    },
 }
 
-impl fmt::Display for OverloadReason {
+impl fmt::Display for Overload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            OverloadReason::Pool(e) => write!(f, "{e}"),
+            Overload::Concurrency { active, max } => {
+                write!(f, "{active}/{max} requests admitted")
+            }
+            Overload::Capacity {
+                requested,
+                in_use,
+                capacity,
+            } => write!(
+                f,
+                "{requested} nodes requested, {in_use}/{capacity} nodes in flight"
+            ),
         }
     }
 }
@@ -32,7 +58,7 @@ impl fmt::Display for OverloadReason {
 pub enum ServeError {
     /// Admission control shed the request before any work was done.
     /// Always safe to retry later; the service did not touch the cache.
-    Overloaded(OverloadReason),
+    Overloaded(Overload),
     /// The named document was never ingested.
     UnknownDocument(String),
     /// The requested version index is outside the document's chain.
@@ -95,5 +121,28 @@ impl From<DiffError> for ServeError {
             DiffError::Cancelled => ServeError::Cancelled,
             other => ServeError::Diff(other),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn overloads_display_in_requests_and_nodes() {
+        let concurrency = Overload::Concurrency { active: 2, max: 2 };
+        assert_eq!(
+            ServeError::Overloaded(concurrency).to_string(),
+            "overloaded: 2/2 requests admitted"
+        );
+        let capacity = Overload::Capacity {
+            requested: 30,
+            in_use: 80,
+            capacity: 100,
+        };
+        assert_eq!(
+            ServeError::Overloaded(capacity).to_string(),
+            "overloaded: 30 nodes requested, 80/100 nodes in flight"
+        );
     }
 }

@@ -11,11 +11,12 @@
 //!
 //! Robustness model, in three layers:
 //!
-//! * **Admission control** — a lock-free service-level
-//!   [`BudgetPool`](hierdiff_guard::BudgetPool) (memory estimate +
-//!   concurrency) sheds excess load *before* any work happens, as typed
-//!   [`ServeError::Overloaded`] rejections. An admitted request runs on
-//!   its caller's thread once it holds one of
+//! * **Admission control** — one gate under one lock sheds excess load
+//!   *before* any work happens, as typed [`ServeError::Overloaded`]
+//!   rejections naming the ceiling hit: requests admitted
+//!   ([`ServeConfig::max_concurrent`]) or nodes in flight
+//!   ([`ServeConfig::capacity_nodes`], the paper's cost unit). An
+//!   admitted request runs on its caller's thread once it holds one of
 //!   [`ServeConfig::workers`] run slots, taken in arrival order; a
 //!   deadline that passes while it waits sheds it.
 //! * **Crash isolation + retry** — every attempt runs under
@@ -59,6 +60,6 @@ mod service;
 
 pub use cache::CacheValidation;
 pub use config::{Rung, ServeConfig};
-pub use error::{OverloadReason, ServeError};
+pub use error::{Overload, ServeError};
 pub use report::ServeReport;
 pub use service::{DiffService, ServeResponse};

@@ -15,7 +15,8 @@ pub struct ServeReport {
     pub requests: u64,
     /// Requests answered successfully (including degraded ones).
     pub ok: u64,
-    /// Requests shed by admission control (pool exhausted).
+    /// Requests shed by admission control (too many requests or nodes in
+    /// flight).
     pub rejected: u64,
     /// Retry attempts consumed across all requests.
     pub retried: u64,

@@ -4,9 +4,10 @@
 //! Request lifecycle (each numbered point is a [`ServeBoundary`] the
 //! chaos observer can attack):
 //!
-//! 1. **Admit** — the service-level [`BudgetPool`] (concurrency + memory
-//!    estimate) admits the request or rejects it as a typed
-//!    [`ServeError::Overloaded`] with no work done.
+//! 1. **Admit** — one admission gate, under one lock, either rejects the
+//!    request as a typed [`ServeError::Overloaded`] with no work done
+//!    (too many requests admitted, or too many nodes in flight) or
+//!    admits it and queues it for a run slot.
 //! 2. **Dequeue** — the request took one of the
 //!    [`workers`](ServeConfig::workers) run slots, handed out in arrival
 //!    order. It is shed if its deadline passed before then.
@@ -36,15 +37,13 @@ use std::time::{Duration, Instant};
 use hierdiff_core::{Audit, DiffError, Differ, MatchStrategy};
 use hierdiff_doc::DocValue;
 use hierdiff_edit::OpCounts;
-use hierdiff_guard::{
-    Attempt, BudgetPool, Budgets, CancelToken, ChaosObserver, Fault, Retried, ServeBoundary,
-};
+use hierdiff_guard::{Attempt, Budgets, CancelToken, ChaosObserver, Fault, Retried, ServeBoundary};
 use hierdiff_matching::prune_identical_indexed;
 use hierdiff_tree::Tree;
 
 use crate::cache::{CacheValidation, DocCache, VersionEntry};
 use crate::config::{Rung, ServeConfig};
-use crate::error::{OverloadReason, ServeError};
+use crate::error::{Overload, ServeError};
 use crate::report::ServeReport;
 
 /// A successful diff response, with the service-level flags the
@@ -88,8 +87,7 @@ type Entries = (VersionEntry, VersionEntry, bool);
 pub struct DiffService {
     config: ServeConfig,
     cache: DocCache,
-    pool: BudgetPool,
-    slots: RunSlots,
+    gate: Gate,
     stats: Mutex<ServeReport>,
     chaos: Option<Mutex<ChaosObserver>>,
     seq: AtomicU64,
@@ -111,13 +109,14 @@ impl DiffService {
 
     fn build(config: ServeConfig, chaos: Option<ChaosObserver>) -> DiffService {
         DiffService {
-            pool: BudgetPool::new(config.capacity_bytes, config.max_concurrent),
-            slots: RunSlots {
-                queue: Mutex::new(SlotQueue {
+            gate: Gate {
+                state: Mutex::new(GateState {
                     free: config.workers.max(1),
-                    ..SlotQueue::default()
+                    ..GateState::default()
                 }),
                 freed: Condvar::new(),
+                max_concurrent: config.max_concurrent.max(1),
+                capacity_nodes: config.capacity_nodes,
             },
             config,
             cache: DocCache::new(),
@@ -200,14 +199,7 @@ impl DiffService {
         self.stats(|s| s.requests += 1);
         self.chaos_point(ServeBoundary::Admit, None);
         let nodes = self.cache.pair_nodes(doc, old, new)?;
-        let _grant = self
-            .pool
-            .try_admit(nodes)
-            .map_err(|e| ServeError::Overloaded(OverloadReason::Pool(e)))?;
-        let _slot = self
-            .slots
-            .acquire(deadline.map(|(at, _)| at))
-            .ok_or(ServeError::DeadlineExceeded)?;
+        let _entry = self.gate.enter(nodes, deadline.map(|(at, _)| at))?;
         *touched = true;
         self.chaos_point(ServeBoundary::Dequeue, None);
         if pressure(deadline, 1).is_none() {
@@ -379,32 +371,61 @@ impl DiffService {
     }
 }
 
-/// The run slots: at most `free` requests run at once, and waiting
-/// requests take freed slots in arrival order.
-struct RunSlots {
-    queue: Mutex<SlotQueue>,
+/// The admission gate: the two admission ceilings and the run slots,
+/// all under one lock. Admitted requests (running or waiting) count
+/// against `max_concurrent` and their nodes against `capacity_nodes`; at
+/// most `free` of them run at once, and waiting ones take freed slots in
+/// arrival order.
+struct Gate {
+    state: Mutex<GateState>,
     freed: Condvar,
+    max_concurrent: usize,
+    capacity_nodes: usize,
 }
 
 #[derive(Default)]
-struct SlotQueue {
+struct GateState {
+    admitted: usize,
+    nodes: usize,
     free: usize,
     next_ticket: u64,
     waiting: VecDeque<u64>,
 }
 
-/// A held run slot; dropping it frees the slot.
-struct RunSlot<'a>(&'a RunSlots);
+/// An admitted request holding a run slot; dropping it (unwinding too)
+/// frees the slot and the admission.
+struct GateEntry<'a> {
+    gate: &'a Gate,
+    nodes: usize,
+}
 
-impl RunSlots {
-    /// Waits for a slot until `until` (forever when `None`); `None` when
-    /// the wait timed out. The queue lock is released while it waits.
-    fn acquire(&self, until: Option<Instant>) -> Option<RunSlot<'_>> {
-        let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+impl Gate {
+    /// Admits a request over `nodes` nodes or rejects it as
+    /// [`ServeError::Overloaded`], then waits for a run slot until
+    /// `until` (forever when `None`). A wait that times out gives the
+    /// admission back and is [`ServeError::DeadlineExceeded`]. The lock
+    /// is released while it waits.
+    fn enter(&self, nodes: usize, until: Option<Instant>) -> Result<GateEntry<'_>, ServeError> {
+        let mut q = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if q.admitted >= self.max_concurrent {
+            return Err(ServeError::Overloaded(Overload::Concurrency {
+                active: q.admitted,
+                max: self.max_concurrent,
+            }));
+        }
+        if q.nodes.saturating_add(nodes) > self.capacity_nodes {
+            return Err(ServeError::Overloaded(Overload::Capacity {
+                requested: nodes,
+                in_use: q.nodes,
+                capacity: self.capacity_nodes,
+            }));
+        }
+        q.admitted += 1;
+        q.nodes += nodes;
         let ticket = q.next_ticket;
         q.next_ticket += 1;
         q.waiting.push_back(ticket);
-        let blocked = |q: &mut SlotQueue| q.free == 0 || q.waiting.front() != Some(&ticket);
+        let blocked = |q: &mut GateState| q.free == 0 || q.waiting.front() != Some(&ticket);
         let mut q = match until {
             None => self
                 .freed
@@ -418,21 +439,34 @@ impl RunSlots {
         };
         let granted = !blocked(&mut q);
         q.waiting.retain(|&t| t != ticket);
-        q.free -= usize::from(granted);
+        if granted {
+            q.free -= 1;
+        } else {
+            q.admitted -= 1;
+            q.nodes -= nodes;
+        }
         if q.free > 0 && !q.waiting.is_empty() {
             // Whoever is now first in line may take a slot too.
             self.freed.notify_all();
         }
-        granted.then(|| RunSlot(self))
+        granted
+            .then(|| GateEntry { gate: self, nodes })
+            .ok_or(ServeError::DeadlineExceeded)
     }
 }
 
-impl Drop for RunSlot<'_> {
+impl Drop for GateEntry<'_> {
     fn drop(&mut self) {
-        let mut q = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut q = self
+            .gate
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         q.free += 1;
+        q.admitted -= 1;
+        q.nodes -= self.nodes;
         if !q.waiting.is_empty() {
-            self.0.freed.notify_all();
+            self.gate.freed.notify_all();
         }
     }
 }
