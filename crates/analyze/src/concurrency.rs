@@ -65,7 +65,6 @@ const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write"];
 /// diff pipeline itself) and must never happen under a lock (S052).
 const FOREIGN_CALLS: &[&str] = &[
     "execute_serve",
-    "fire_serve",
     "fire",
     "phase_start",
     "phase_end",

@@ -9,7 +9,6 @@
 //!
 //! | codes | checker | invariant (paper §) |
 //! |-------|---------|---------------------|
-//! | `A001`–`A004` | [`audit_tree`] | arena well-formedness (§3.1) |
 //! | `A010`–`A014` | [`audit_matching`] / [`audit_pairs`] | matchings are one-to-one, label-preserving, ancestor-order (§3.1, Lemma C.1) |
 //! | `A020`–`A025` | [`audit_script`] | edit-script conformance, replay (§3.2, Figs. 8/9) and minimality (Lemma C.1) |
 //! | `A030`–`A031` | [`audit_prune`] | prune seeds pair identical subtrees (§1, §5) |
@@ -21,16 +20,20 @@
 //!
 //! ```
 //! use hierdiff_tree::Tree;
-//! use hierdiff_audit::{audit_tree, Side};
+//! use hierdiff_audit::audit_pairs;
 //!
-//! let t = Tree::parse_sexpr(r#"(D (P (S "a")))"#).unwrap();
-//! let report = audit_tree(&t, Side::Old);
+//! let t1 = Tree::parse_sexpr(r#"(D (P (S "a")))"#).unwrap();
+//! let t2 = Tree::parse_sexpr(r#"(D (P (S "a")))"#).unwrap();
+//! let pairs: Vec<_> = t1.preorder().zip(t2.preorder()).collect();
+//! let report = audit_pairs(&t1, &t2, &pairs);
 //! assert!(report.is_clean());
 //! ```
 //!
-//! Checkers assume the *trees themselves* are well-formed (run
-//! [`audit_tree`] first on untrusted input); the pair-level checkers then
-//! validate matchings, scripts, prune seeds, and delta trees against them.
+//! Checkers assume the *trees themselves* are well-formed. They are by
+//! construction: parsers and edit operations keep the arena invariants,
+//! and deserialization runs [`Tree::validate`](hierdiff_tree::Tree::validate)
+//! on untrusted input. The checkers validate matchings, scripts, prune
+//! seeds, and delta trees against them.
 //! The `hierdiff-core` crate calls these at stage boundaries when
 //! `Differ::audit` is enabled (the default under debug assertions).
 
@@ -44,11 +47,9 @@ mod prune_check;
 mod script_check;
 #[cfg(test)] // the file's inner #![cfg(test)] repeats this for the linter
 mod testutil;
-mod tree_check;
 
 pub use delta_check::audit_delta;
 pub use diag::{AuditReport, Code, Diagnostic, Severity, Side, Span};
 pub use matching_check::{audit_matching, audit_pairs};
 pub use prune_check::audit_prune;
 pub use script_check::audit_script;
-pub use tree_check::audit_tree;

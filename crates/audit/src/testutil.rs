@@ -24,14 +24,6 @@ pub(crate) fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
     }
 }
 
-/// Mutable access to an array element, by index.
-pub(crate) fn elem_mut(v: &mut Value, i: usize) -> &mut Value {
-    match v {
-        Value::Array(a) => &mut a[i],
-        other => panic!("elem_mut on non-array: {other:?}"),
-    }
-}
-
 /// Mutable access to the backing vector of an array value.
 pub(crate) fn array_mut(v: &mut Value) -> &mut Vec<Value> {
     match v {

@@ -6,7 +6,7 @@
 //! must flag every injected violation *and* stay silent on honest output,
 //! or they would be either useless or unusable as a default-on gate.
 
-use hierdiff_core::{Audit, Differ};
+use hierdiff_core::{Audit, Differ, FastMatchConfig, MatchStrategy};
 use hierdiff_workload::{generate_document, perturb, DocProfile, EditMix};
 use proptest::prelude::*;
 
@@ -18,6 +18,14 @@ fn fixture(name: &str) -> hierdiff_tree::Tree<String> {
 
 fn audited() -> Differ<'static> {
     Differ::new().audit(Audit::On)
+}
+
+/// FastMatch with the identical-subtree pruning pre-pass on or off.
+fn fast_strategy(prune: bool) -> MatchStrategy {
+    MatchStrategy::FastMatch(FastMatchConfig {
+        prune,
+        ..FastMatchConfig::default()
+    })
 }
 
 #[test]
@@ -35,7 +43,10 @@ fn figure4_example_audits_clean() {
     let t1 = fixture("fig4_old.sexpr");
     let t2 = fixture("fig4_new.sexpr");
     for prune in [false, true] {
-        let res = audited().prune(prune).diff(&t1, &t2).unwrap();
+        let res = audited()
+            .strategy(fast_strategy(prune))
+            .diff(&t1, &t2)
+            .unwrap();
         let report = res.audit.expect("audit was requested");
         assert!(report.is_clean(), "prune={prune}: {report}");
     }
@@ -54,7 +65,10 @@ fn workload_document_audits_clean() {
     let (t2, _) = perturb(&t1, 7, 60, &EditMix::revision(), &profile);
     assert!(t1.len() > 1_500, "profile produced only {} nodes", t1.len());
     for prune in [false, true] {
-        let res = audited().prune(prune).diff(&t1, &t2).unwrap();
+        let res = audited()
+            .strategy(fast_strategy(prune))
+            .diff(&t1, &t2)
+            .unwrap();
         let report = res.audit.expect("audit was requested");
         assert!(report.is_clean(), "prune={prune}: {report}");
         assert!(report.checks_run > t1.len(), "per-node checks ran");
@@ -82,7 +96,7 @@ proptest! {
         };
         let t1 = generate_document(seed, &profile);
         let (t2, _) = perturb(&t1, seed.wrapping_add(1), edits, &mix, &profile);
-        let res = audited().prune(prune).diff(&t1, &t2).unwrap();
+        let res = audited().strategy(fast_strategy(prune)).diff(&t1, &t2).unwrap();
         let report = res.audit.expect("audit was requested");
         prop_assert!(report.is_clean(), "seed={seed} edits={edits}: {report}");
     }

@@ -23,7 +23,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use hierdiff_core::{Audit, Differ};
+use hierdiff_core::{Audit, Differ, MatchStrategy};
 use hierdiff_tree::Tree;
 use hierdiff_workload::{generate_document, perturb, DocProfile, EditMix};
 use serde::{Deserialize, Serialize};
@@ -94,7 +94,7 @@ fn measure(sections: usize, runs: usize) -> SizePoint {
     for _ in 0..runs {
         let start = Instant::now();
         let r = Differ::new()
-            .prune(true)
+            .strategy(MatchStrategy::fast_pruned())
             .audit(Audit::Off)
             .profile(true)
             .diff(&t1, &t2)

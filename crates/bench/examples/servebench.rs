@@ -5,7 +5,7 @@
 //! request is deterministic) over the three paper document sets with a
 //! seeded request trace, then re-runs the *same trace* from scratch —
 //! parsing both versions from their serialized s-expression form and
-//! running `Differ::new().prune(true)`, which rebuilds both fingerprint
+//! running `Differ::new().strategy(MatchStrategy::fast_pruned())`, which rebuilds both fingerprint
 //! indexes, on every request — to measure what the service's resident
 //! parsed-tree + index cache buys.
 //!
@@ -24,7 +24,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use hierdiff_core::Differ;
+use hierdiff_core::{Differ, MatchStrategy};
 use hierdiff_doc::DocValue;
 use hierdiff_serve::{DiffService, Rung, ServeConfig};
 use hierdiff_tree::{Label, NodeId, Tree};
@@ -194,7 +194,7 @@ fn measure() -> Measurement {
             let old = Tree::parse_sexpr(&doc[req.old]).expect("corpus round-trips");
             let new = Tree::parse_sexpr(&doc[req.new]).expect("corpus round-trips");
             let r = Differ::new()
-                .prune(true)
+                .strategy(MatchStrategy::fast_pruned())
                 .diff(&old, &new)
                 .unwrap_or_else(|e| panic!("ungoverned diff failed: {e}"));
             pass_script_len += r.script.len();

@@ -33,7 +33,7 @@ use crate::{diff_observed, AuditReport, DiffError, DiffResult, MatchStrategy, Pi
 /// Options for a batch run, assembled by
 /// [`Differ::diff_batch`](crate::Differ::diff_batch) /
 /// [`diff_batch_with`](crate::Differ::diff_batch_with).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub(crate) struct BatchOptions {
     /// Per-pair pipeline configuration; [`MatchStrategy::Provided`] is
     /// rejected (a single provided matching cannot describe multiple
@@ -50,29 +50,6 @@ pub(crate) struct BatchOptions {
     /// [`RetryPolicy::default`], one retry — matches the historical
     /// retry-once-on-the-calling-thread behavior.
     pub retry: RetryPolicy,
-}
-
-impl BatchOptions {
-    /// Forces a specific worker count.
-    #[cfg(test)]
-    pub fn with_workers(mut self, workers: usize) -> BatchOptions {
-        self.workers = NonZeroUsize::new(workers);
-        self
-    }
-
-    /// Toggles per-worker profile recording.
-    #[cfg(test)]
-    pub fn with_profile(mut self, profile: bool) -> BatchOptions {
-        self.profile = profile;
-        self
-    }
-
-    /// Sets the retry schedule.
-    #[cfg(test)]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> BatchOptions {
-        self.retry = retry;
-        self
-    }
 }
 
 /// What one worker did during a batch run.
@@ -463,7 +440,9 @@ mod tests {
         let a = doc(r#"(D)"#);
         let b = doc(r#"(D)"#);
         let pairs = vec![(&a, &b)];
-        let out = Differ::new().matching(Matching::new()).diff_batch(&pairs);
+        let out = Differ::new()
+            .strategy(MatchStrategy::Provided(Matching::new()))
+            .diff_batch(&pairs);
         assert!(matches!(
             out.results[0],
             Err(DiffError::MissingProvidedMatching)
@@ -585,7 +564,7 @@ mod tests {
         let a = doc(r#"(D (S "x"))"#);
         let b = doc(r#"(D (S "y"))"#);
         let pairs = vec![(&a, &b); 4];
-        let run = diff_batch_run(&pairs, &BatchOptions::default().with_workers(1));
+        let run = Differ::new().workers(1).diff_batch(&pairs);
         assert!(run.report.failures.is_empty());
         assert_eq!(run.results.len(), 4);
 
@@ -593,9 +572,8 @@ mod tests {
         // the batch still returns, and undelivered pairs carry the typed
         // worker error.
         let mut first = true;
-        let report = diff_batch_inner(
+        let report = Differ::new().workers(1).diff_batch_with(
             &pairs,
-            &BatchOptions::default().with_workers(1),
             move |_, _: Result<DiffResult<String>, DiffError>| {
                 if first {
                     first = false;
@@ -618,7 +596,7 @@ mod tests {
         let mut slots: Vec<Option<Result<DiffResult<String>, DiffError>>> =
             (0..pairs.len()).map(|_| None).collect();
         let mut first = true;
-        let report = diff_batch_inner(&pairs, &BatchOptions::default().with_workers(1), |i, r| {
+        let report = Differ::new().workers(1).diff_batch_with(&pairs, |i, r| {
             if first {
                 first = false;
                 panic!("boom");
@@ -645,17 +623,16 @@ mod tests {
         type Slots = Mutex<Vec<Option<Result<DiffResult<String>, DiffError>>>>;
         let slots: Slots = Mutex::new((0..pairs.len()).map(|_| None).collect());
         let mut first = true;
-        let report = diff_batch_inner(
-            &pairs,
-            &BatchOptions::default().with_workers(1).with_profile(true),
-            |i, r| {
+        let report = Differ::new()
+            .workers(1)
+            .profile(true)
+            .diff_batch_with(&pairs, |i, r| {
                 if first {
                     first = false;
                     panic!("boom");
                 }
                 slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(r);
-            },
-        );
+            });
         assert_eq!(report.retries, 3);
         let delivered = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
         assert_eq!(delivered.iter().filter(|s| s.is_some()).count(), 3);
@@ -716,11 +693,11 @@ mod tests {
         let bad_old = volatile_pair("x", true);
         let bad_new = volatile_pair("y", true);
         let pairs = vec![(&ok_old, &ok_new), (&bad_old, &bad_new), (&ok_old, &ok_new)];
-        let opts = BatchOptions::default()
-            .with_workers(1)
-            .with_retry(RetryPolicy::retries(2).with_base_backoff(Duration::ZERO));
+        let differ = Differ::new()
+            .workers(1)
+            .retry(RetryPolicy::retries(2).with_base_backoff(Duration::ZERO));
         let slots = Mutex::new((0..pairs.len()).map(|_| None).collect::<Vec<_>>());
-        let report = diff_batch_inner(&pairs, &opts, |i, r| {
+        let report = differ.diff_batch_with(&pairs, |i, r| {
             slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(r);
         });
         assert_eq!(report.failures, vec![DiffError::WorkerPanicked(0)]);
@@ -747,21 +724,14 @@ mod tests {
         let b = doc(r#"(D (S "y"))"#);
         let pairs = vec![(&a, &b); 3];
         let token = CancelToken::new();
-        let opts = BatchOptions {
-            diff: PipelineConfig {
-                cancel: Some(token.clone()),
-                ..Default::default()
-            },
-            ..Default::default()
-        }
-        .with_workers(1);
+        let differ = Differ::new().cancel(&token).workers(1);
         // The sink fires the cancel token and then kills the worker on its
         // first delivery: the remaining pairs enter the retry pass with the
         // token already fired and must surface as Cancelled, not as retry
         // exhaustion.
         let mut first = true;
         let slots = Mutex::new((0..pairs.len()).map(|_| None).collect::<Vec<_>>());
-        let report = diff_batch_inner(&pairs, &opts, |i, r| {
+        let report = differ.diff_batch_with(&pairs, |i, r| {
             if first {
                 first = false;
                 token.cancel();
@@ -790,12 +760,10 @@ mod tests {
         let bad_old = volatile_pair("x", true);
         let bad_new = volatile_pair("y", true);
         let pairs = vec![(&bad_old, &bad_new), (&ok_old, &ok_new)];
-        let run = diff_batch_run(
-            &pairs,
-            &BatchOptions::default()
-                .with_workers(1)
-                .with_retry(RetryPolicy::none()),
-        );
+        let run = Differ::new()
+            .workers(1)
+            .retry(RetryPolicy::none())
+            .diff_batch(&pairs);
         assert_eq!(run.report.failures, vec![DiffError::WorkerPanicked(0)]);
         assert_eq!(run.report.retries, 0, "policy forbids retrying");
         assert!(matches!(run.results[0], Err(DiffError::WorkerPanicked(0))));
@@ -809,15 +777,7 @@ mod tests {
         let pairs = vec![(&a, &b); 4];
         let token = CancelToken::new();
         token.cancel();
-        let opts = BatchOptions {
-            diff: PipelineConfig {
-                cancel: Some(token),
-                ..Default::default()
-            },
-            ..Default::default()
-        }
-        .with_workers(2);
-        let run = diff_batch_run(&pairs, &opts);
+        let run = Differ::new().cancel(&token).workers(2).diff_batch(&pairs);
         assert!(
             run.report.failures.is_empty(),
             "cancellation is not a panic"

@@ -8,14 +8,14 @@
 //! start from the same expression:
 //!
 //! ```
-//! use hierdiff_core::{Audit, Differ};
+//! use hierdiff_core::{Audit, Differ, MatchStrategy};
 //! use hierdiff_tree::Tree;
 //!
 //! let old = Tree::parse_sexpr(r#"(D (S "a") (S "b"))"#).unwrap();
 //! let new = Tree::parse_sexpr(r#"(D (S "b") (S "a"))"#).unwrap();
 //!
 //! let result = Differ::new()
-//!     .prune(true)
+//!     .strategy(MatchStrategy::fast_pruned())
 //!     .audit(Audit::Debug)
 //!     .profile(true)
 //!     .diff(&old, &new)
@@ -80,9 +80,8 @@ impl Audit {
 /// [`diff_batch`](Differ::diff_batch), or
 /// [`diff_batch_with`](Differ::diff_batch_with).
 ///
-/// All setters are order-independent, except that strategy-scoped knobs
-/// ([`prune`](Differ::prune)) configure the *current* strategy — select
-/// the strategy first when combining them.
+/// All setters are order-independent; strategy-specific knobs (such as
+/// FastMatch pruning) live on the [`MatchStrategy`] variant.
 pub struct Differ<'o> {
     config: PipelineConfig,
     observer: Option<&'o mut dyn PipelineObserver>,
@@ -127,14 +126,6 @@ impl<'o> Differ<'o> {
         self
     }
 
-    /// Uses a caller-provided matching and skips the Good Matching phase
-    /// (key-based domains). Shorthand for
-    /// `strategy(MatchStrategy::Provided(matching))`.
-    pub fn matching(mut self, matching: Matching) -> Differ<'o> {
-        self.config.strategy = MatchStrategy::Provided(matching);
-        self
-    }
-
     /// Toggles the Section 8 post-processing pass after matching.
     pub fn postprocess(mut self, postprocess: bool) -> Differ<'o> {
         self.config.postprocess = postprocess;
@@ -144,18 +135,6 @@ impl<'o> Differ<'o> {
     /// Toggles delta-tree construction (Section 6). On by default.
     pub fn delta(mut self, delta: bool) -> Differ<'o> {
         self.config.build_delta = delta;
-        self
-    }
-
-    /// Toggles the identical-subtree pruning pre-pass of the FastMatch
-    /// strategy ([`FastMatchConfig::prune`](crate::FastMatchConfig)).
-    /// A no-op under any other strategy: GumTree's top-down phase is the
-    /// same anchoring pass, run with its own height floor and pairing
-    /// ambiguous fragments in document order.
-    pub fn prune(mut self, prune: bool) -> Differ<'o> {
-        if let MatchStrategy::FastMatch(config) = &mut self.config.strategy {
-            config.prune = prune;
-        }
         self
     }
 

@@ -71,7 +71,7 @@ pub use hierdiff_obs::{
 pub use strategy::{zs_budget, FastMatchConfig, MatchStrategy};
 
 pub use hierdiff_audit::AuditReport;
-use hierdiff_audit::{audit_delta, audit_matching, audit_prune, audit_script, audit_tree, Side};
+use hierdiff_audit::{audit_delta, audit_matching, audit_prune, audit_script};
 use hierdiff_delta::{build_delta_tree, DeltaTree};
 use hierdiff_edit::{
     edit_script_guarded, EditScript, EditScriptError, Matching, McesError, McesResult,
@@ -355,15 +355,6 @@ pub(crate) fn diff_observed<V: NodeValue>(
     guard.admit(old.len() + new.len())?;
     let mut degraded = Degraded::default();
     let mut audit = config.audit.then(AuditReport::new);
-    if let Some(report) = audit.as_mut() {
-        span_start(&mut obs, Phase::Audit);
-        report.merge(audit_tree(old, Side::Old));
-        report.merge(audit_tree(new, Side::New));
-        span_end(&mut obs, Phase::Audit);
-        if report.has_errors() {
-            return Err(DiffError::Audit(Box::new(report.clone())));
-        }
-    }
     // The strategy owns the whole tree-pair→Matching stage (pruning
     // pre-pass, match dispatch, degradation ladder, post-processing).
     let outcome = run_strategy(old, new, config, &guard, &mut obs)?;
@@ -484,7 +475,10 @@ mod tests {
         m.insert(old.root(), new.root()).unwrap();
         m.insert(old.children(old.root())[0], new.children(new.root())[0])
             .unwrap();
-        let r = Differ::new().matching(m).diff(&old, &new).unwrap();
+        let r = Differ::new()
+            .strategy(MatchStrategy::Provided(m))
+            .diff(&old, &new)
+            .unwrap();
         assert_eq!(r.counters.total(), 0, "no comparisons with provided keys");
         assert_eq!(r.script.op_counts().updates, 1);
     }
@@ -556,7 +550,10 @@ mod tests {
             r#"(D (P (S "stable1") (S "stable2")) (P (S "stable3") (S "stable4")) (P (S "new")))"#,
         );
         let plain = Differ::new().diff(&old, &new).unwrap();
-        let pruned = Differ::new().prune(true).diff(&old, &new).unwrap();
+        let pruned = Differ::new()
+            .strategy(MatchStrategy::fast_pruned())
+            .diff(&old, &new)
+            .unwrap();
         assert_eq!(
             plain.script.len(),
             pruned.script.len(),
@@ -572,31 +569,13 @@ mod tests {
     }
 
     #[test]
-    fn prune_is_a_fastmatch_knob() {
-        // prune(true) configures the FastMatch strategy in place; on any
-        // other strategy it is a documented no-op.
-        let old = doc(r#"(D (P (S "stable1") (S "stable2")) (P (S "old")))"#);
-        let new = doc(r#"(D (P (S "stable1") (S "stable2")) (P (S "new")))"#);
-        let pruned = Differ::new().prune(true).diff(&old, &new).unwrap();
-        assert!(pruned.counters.nodes_pruned > 0);
-        let gumtree = Differ::new()
-            .strategy(MatchStrategy::gumtree())
-            .prune(true)
-            .profile(true)
-            .diff(&old, &new)
-            .unwrap();
-        assert!(
-            gumtree.profile.unwrap().phase("prune").is_none(),
-            "gumtree has its own top-down phase; prune() does not apply"
-        );
-        assert!(isomorphic(&gumtree.mces.replay_on(&old).unwrap(), &new));
-    }
-
-    #[test]
     fn audit_on_by_default_in_debug_and_clean() {
         let old = doc(r#"(D (P (S "a") (S "b")) (P (S "c")))"#);
         let new = doc(r#"(D (P (S "c")) (P (S "a") (S "b") (S "x")))"#);
-        let r = Differ::new().prune(true).diff(&old, &new).unwrap();
+        let r = Differ::new()
+            .strategy(MatchStrategy::fast_pruned())
+            .diff(&old, &new)
+            .unwrap();
         let report = r.audit.expect("audit defaults on under debug assertions");
         assert!(report.is_clean(), "{report}");
         assert!(report.checks_run > 0);
@@ -621,7 +600,11 @@ mod tests {
         m.insert(old.root(), new.root()).unwrap();
         m.insert(old.children(old.root())[0], new.children(new.root())[0])
             .unwrap(); // S matched to P
-        match Differ::new().matching(m).audit(Audit::On).diff(&old, &new) {
+        match Differ::new()
+            .strategy(MatchStrategy::Provided(m))
+            .audit(Audit::On)
+            .diff(&old, &new)
+        {
             Err(DiffError::Audit(report)) => {
                 assert!(report.has_code(hierdiff_audit::Code::A012), "{report}");
             }
@@ -829,7 +812,7 @@ mod tests {
         let new =
             doc(r#"(D (P (S "stable1") (S "stable2")) (P (S "c") (S "b") (S "a")) (P (S "new")))"#);
         let r = Differ::new()
-            .prune(true)
+            .strategy(MatchStrategy::fast_pruned())
             .audit(Audit::On)
             .budget(Budgets::unlimited().with_max_lcs_cells(1))
             .diff(&old, &new)
@@ -867,7 +850,10 @@ mod tests {
             "the provided seed is credited to the prune phase"
         );
         // The seeded run agrees with the in-pipeline pruning pre-pass.
-        let inline = Differ::new().prune(true).diff(&old, &new).unwrap();
+        let inline = Differ::new()
+            .strategy(MatchStrategy::fast_pruned())
+            .diff(&old, &new)
+            .unwrap();
         assert_eq!(seeded.script, inline.script);
         // Non-FastMatch strategies ignore the seed rather than feeding an
         // unconsumed seed to the seed ⊆ matching audit.

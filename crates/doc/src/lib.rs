@@ -55,6 +55,6 @@ pub use markup::{
     try_render_markdown, HtmlOptions,
 };
 pub use pipeline::{diff_trees, ladiff, DocFormat, LaDiffOptions, LaDiffOutput, LaDiffStats};
-pub use segment::{normalize_ws, split_paragraphs, split_sentences};
+pub use segment::{normalize_ws, split_sentences};
 pub use value::{word_distance, words, DocValue, WordTokens};
 pub use xml::{parse_xml, text_label, XmlError};

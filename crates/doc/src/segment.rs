@@ -102,29 +102,6 @@ pub fn normalize_ws(text: &str) -> String {
     text.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
-/// Splits raw text into paragraphs on blank lines, normalizing whitespace.
-pub fn split_paragraphs(text: &str) -> Vec<String> {
-    let mut paragraphs = Vec::new();
-    let mut current = String::new();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            if !current.trim().is_empty() {
-                paragraphs.push(normalize_ws(&current));
-            }
-            current.clear();
-        } else {
-            if !current.is_empty() {
-                current.push(' ');
-            }
-            current.push_str(line);
-        }
-    }
-    if !current.trim().is_empty() {
-        paragraphs.push(normalize_ws(&current));
-    }
-    paragraphs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,17 +176,5 @@ mod tests {
         // "3.14" has no whitespace after the period.
         let s = split_sentences("Pi is 3.14 roughly. Indeed.");
         assert_eq!(s, vec!["Pi is 3.14 roughly.", "Indeed."]);
-    }
-
-    #[test]
-    fn paragraphs_split_on_blank_lines() {
-        let p = split_paragraphs("Line one.\nLine two.\n\nSecond para.\n\n\nThird.");
-        assert_eq!(p, vec!["Line one. Line two.", "Second para.", "Third."]);
-    }
-
-    #[test]
-    fn paragraphs_empty_input() {
-        assert!(split_paragraphs("").is_empty());
-        assert!(split_paragraphs("\n\n\n").is_empty());
     }
 }

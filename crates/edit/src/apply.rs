@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use hierdiff_tree::{NodeId, NodeValue, StructureError, Tree};
+use hierdiff_tree::{NodeId, NodeValue, Tree, TreeError};
 
 use crate::ops::{EditOp, EditScript};
 
@@ -21,7 +21,7 @@ pub struct ApplyError {
     /// Index of the operation that failed.
     pub op_index: usize,
     /// The structural violation.
-    pub cause: StructureError,
+    pub cause: TreeError,
 }
 
 impl fmt::Display for ApplyError {
@@ -76,7 +76,7 @@ pub fn apply_script<V: NodeValue>(
             };
             observer(op, &ctx);
         }
-        let step = |cause: StructureError| ApplyError { op_index, cause };
+        let step = |cause: TreeError| ApplyError { op_index, cause };
         match op {
             EditOp::Insert {
                 node,
@@ -203,7 +203,7 @@ mod tests {
         let script: EditScript<String> = EditScript::from_ops(vec![EditOp::Delete { node: p }]);
         let err = apply(&mut t, &script).unwrap_err();
         assert_eq!(err.op_index, 0);
-        assert_eq!(err.cause, StructureError::NotALeaf(p));
+        assert_eq!(err.cause, TreeError::NotALeaf(p));
     }
 
     #[test]
@@ -233,7 +233,7 @@ mod tests {
         ]);
         let err = apply(&mut t, &script).unwrap_err();
         assert_eq!(err.op_index, 1);
-        assert_eq!(err.cause, StructureError::DeadNode(bogus));
+        assert_eq!(err.cause, TreeError::DeadNode(bogus));
         assert_eq!(t.len(), 3, "the successful insert stays applied");
         t.validate().unwrap();
     }
@@ -250,7 +250,7 @@ mod tests {
         }]);
         let err = apply(&mut t, &script).unwrap_err();
         assert_eq!(err.op_index, 0);
-        assert!(matches!(err.cause, StructureError::MoveIntoSubtree { .. }));
+        assert!(matches!(err.cause, TreeError::MoveIntoSubtree { .. }));
         t.validate().unwrap();
     }
 
@@ -268,7 +268,7 @@ mod tests {
         let err = apply(&mut t, &script).unwrap_err();
         assert_eq!(
             err.cause,
-            StructureError::PositionOutOfRange { pos: 5, arity: 0 }
+            TreeError::PositionOutOfRange { pos: 5, arity: 0 }
         );
         assert_eq!(
             err.to_string(),

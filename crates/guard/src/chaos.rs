@@ -205,9 +205,9 @@ impl ChaosObserver {
     }
 
     /// Adds a planned serve-boundary fault (builder-style). These fire
-    /// from [`observe_serve`](ChaosObserver::observe_serve) /
-    /// [`fire_serve`](ChaosObserver::fire_serve), not from the pipeline
-    /// phase hooks.
+    /// through [`observe_serve`](ChaosObserver::observe_serve) and
+    /// [`execute_serve`](ChaosObserver::execute_serve), not from the
+    /// pipeline phase hooks.
     pub fn inject_serve(mut self, boundary: ServeBoundary, fault: Fault) -> ChaosObserver {
         self.serve_injections
             .push(ServeInjection { boundary, fault });
@@ -295,14 +295,6 @@ impl ChaosObserver {
             Fault::Cancel(token) => token.cancel(),
         }
     }
-
-    /// Observe-and-execute in one call, for single-threaded callers that
-    /// hold the observer directly.
-    pub fn fire_serve(&mut self, boundary: ServeBoundary) {
-        for fault in self.observe_serve(boundary) {
-            ChaosObserver::execute_serve(boundary, &fault);
-        }
-    }
 }
 
 impl PipelineObserver for ChaosObserver {
@@ -362,8 +354,9 @@ mod tests {
     #[test]
     fn serve_panic_fault_carries_typed_payload() {
         let mut obs = ChaosObserver::new().inject_serve(ServeBoundary::CacheLookup, Fault::Panic);
+        let faults = obs.observe_serve(ServeBoundary::CacheLookup);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            obs.fire_serve(ServeBoundary::CacheLookup);
+            ChaosObserver::execute_serve(ServeBoundary::CacheLookup, &faults[0]);
         }))
         .expect_err("must panic");
         let payload = err

@@ -184,8 +184,8 @@ const TICK_STRIDE: u32 = 256;
 pub struct Guard {
     cancel: Option<CancelToken>,
     deadline: Option<Instant>,
+    max_nodes: Option<usize>,
     max_lcs_cells: Option<u64>,
-    budgets: Budgets,
     active: bool,
     lcs_cells: Cell<u64>,
     ticks: Cell<u32>,
@@ -211,31 +211,19 @@ impl Guard {
         Guard {
             cancel: token,
             deadline,
+            max_nodes: budgets.max_nodes,
             max_lcs_cells: budgets.max_lcs_cells,
-            budgets,
             active,
             lcs_cells: Cell::new(0),
             ticks: Cell::new(0),
         }
     }
 
-    /// Whether this guard can ever trip. `false` means every check is a
-    /// short-circuit; governed code may skip work-charging entirely.
-    #[inline]
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
-    /// The budgets this guard enforces.
-    pub fn budgets(&self) -> Budgets {
-        self.budgets
-    }
-
     /// One-shot admission check for a run over `total_nodes` input nodes
     /// (`t1.len() + t2.len()`): enforces `max_nodes` before any pipeline
     /// work starts.
     pub fn admit(&self, total_nodes: usize) -> Result<(), GuardError> {
-        if let Some(max) = self.budgets.max_nodes {
+        if let Some(max) = self.max_nodes {
             if total_nodes > max {
                 return Err(GuardError::Budget(Budget::Nodes));
             }
@@ -318,7 +306,6 @@ mod tests {
     #[test]
     fn unlimited_guard_never_trips() {
         let g = Guard::unlimited();
-        assert!(!g.is_active());
         assert!(g.admit(usize::MAX).is_ok());
         assert!(g.checkpoint().is_ok());
         for _ in 0..10_000 {

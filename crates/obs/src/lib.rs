@@ -174,6 +174,9 @@ pub enum Counter {
     GumtreeContainers,
     /// Pairs added by GumTree's bounded Zhang–Shasha recovery pass.
     GumtreeRecovered,
+    // The eight `Serve*` counters have no emitter (`ServeReport` carries
+    // the same totals). Dropping them rewrites every profile golden, so
+    // that waits for its own change (ROADMAP item 6).
     /// Diff requests submitted to the serving layer.
     ServeRequests,
     /// Requests rejected at admission (queue or budget-pool backpressure).

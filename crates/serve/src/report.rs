@@ -1,10 +1,9 @@
-//! Service-level observability: the [`ServeReport`] aggregate, wired
-//! through `hierdiff-obs` (the [`DurationHistogram`] latency sketch and
-//! the `serve_*` [`Counter`]s).
+//! Service-level observability: the [`ServeReport`] aggregate, whose
+//! latency sketch is `hierdiff-obs`'s [`DurationHistogram`].
 
 use serde::{Deserialize, Serialize};
 
-use hierdiff_obs::{Counter, DurationHistogram, PipelineObserver};
+use hierdiff_obs::DurationHistogram;
 
 /// Aggregate service statistics since construction (or the last
 /// [`DiffService::report`](crate::DiffService::report) snapshot — the
@@ -57,27 +56,11 @@ impl ServeReport {
     pub fn p99_nanos(&self) -> u64 {
         self.latency.approx_quantile(0.99)
     }
-
-    /// Flushes the aggregate into an observer's `serve_*` counters, so a
-    /// [`Recorder`](hierdiff_obs::Recorder) profile (and everything
-    /// downstream of one) carries service-level totals alongside the
-    /// pipeline's.
-    pub fn flush_counters(&self, obs: &mut dyn PipelineObserver) {
-        obs.add(Counter::ServeRequests, self.requests);
-        obs.add(Counter::ServeRejected, self.rejected);
-        obs.add(Counter::ServeRetries, self.retried);
-        obs.add(Counter::ServeDegraded, self.degraded);
-        obs.add(Counter::ServeShed, self.shed);
-        obs.add(Counter::ServeCacheHits, self.cache_hits);
-        obs.add(Counter::ServeCacheMisses, self.cache_misses);
-        obs.add(Counter::ServeQuarantined, self.quarantined);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hierdiff_obs::Recorder;
 
     #[test]
     fn throughput_and_quantiles() {
@@ -95,25 +78,6 @@ mod tests {
         assert!(r.p99_nanos() <= 2_048, "p99 is the 100th of 101 below 1ms");
         r.latency.record(1_000_000);
         assert!(r.p99_nanos() > 2_048 || r.latency.count() < 100);
-    }
-
-    #[test]
-    fn counters_flush_into_profiles() {
-        let report = ServeReport {
-            requests: 7,
-            rejected: 2,
-            cache_hits: 5,
-            quarantined: 1,
-            ..ServeReport::default()
-        };
-        let mut rec = Recorder::new();
-        report.flush_counters(&mut rec);
-        let profile = rec.profile();
-        assert_eq!(profile.counter("serve_requests"), 7);
-        assert_eq!(profile.counter("serve_rejected"), 2);
-        assert_eq!(profile.counter("serve_cache_hits"), 5);
-        assert_eq!(profile.counter("serve_quarantined"), 1);
-        assert_eq!(profile.counter("serve_shed"), 0, "zeros present too");
     }
 
     #[test]

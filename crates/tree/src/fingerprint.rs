@@ -236,19 +236,6 @@ impl FingerprintIndex {
         self.chains.get(&hash).map_or(&[], ChainEntry::as_slice)
     }
 
-    /// How many subtrees bear `hash`.
-    pub fn multiplicity(&self, hash: u64) -> usize {
-        self.chain(hash).len()
-    }
-
-    /// The node bearing `hash`, iff it is unique in this tree.
-    pub fn unique(&self, hash: u64) -> Option<NodeId> {
-        match self.chain(hash) {
-            [only] => Some(*only),
-            _ => None,
-        }
-    }
-
     /// All live nodes, tallest subtree first (ties in document order).
     pub fn tallest_first(&self) -> &[NodeId] {
         &self.tallest_first
@@ -361,10 +348,8 @@ mod tests {
         let p2 = t.children(t.root())[1];
         let solo = t.children(t.root())[2];
         assert_eq!(idx.chain(idx.hash(p1)), &[p1, p2]);
-        assert_eq!(idx.multiplicity(idx.hash(p1)), 2);
-        assert_eq!(idx.unique(idx.hash(p1)), None);
-        assert_eq!(idx.unique(idx.hash(solo)), Some(solo));
-        assert_eq!(idx.multiplicity(0xdead_beef), 0);
+        assert_eq!(idx.chain(idx.hash(solo)), &[solo]);
+        assert!(idx.chain(0xdead_beef).is_empty());
     }
 
     #[test]

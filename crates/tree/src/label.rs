@@ -68,16 +68,6 @@ impl Label {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Number of distinct labels interned so far, process-wide. Any
-    /// `Label::index()` is strictly below this.
-    pub fn universe_size() -> usize {
-        interner()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .names
-            .len()
-    }
 }
 
 impl fmt::Debug for Label {
@@ -142,15 +132,6 @@ mod tests {
     fn from_str_conversion() {
         let a: Label = "Item".into();
         assert_eq!(a, Label::intern("Item"));
-    }
-
-    #[test]
-    fn universe_grows_monotonically() {
-        let before = Label::universe_size();
-        let l = Label::intern("label-test-unique-zzz");
-        assert!(Label::universe_size() > 0);
-        assert!(l.index() < Label::universe_size());
-        assert!(Label::universe_size() >= before);
     }
 
     #[test]

@@ -230,11 +230,6 @@ impl<V: NodeValue> Tree<V> {
         self.preorder().filter(move |&id| self.is_leaf(id))
     }
 
-    /// All internal (non-leaf) nodes in document order.
-    pub fn internal_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.preorder().filter(move |&id| !self.is_leaf(id))
-    }
-
     /// Ancestors of `id`, nearest first (excludes `id` itself).
     pub fn ancestors(&self, id: NodeId) -> Ancestors<'_, V> {
         ancestors_of(self, id)
@@ -328,13 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn internal_nodes_in_document_order() {
-        let (t, n) = sample();
-        let internal: Vec<_> = t.internal_nodes().collect();
-        assert_eq!(internal, vec![n[0], n[1], n[2]]);
-    }
-
-    #[test]
     fn ancestors_nearest_first() {
         let (t, n) = sample();
         let anc: Vec<_> = t.ancestors(n[4]).collect();
@@ -386,6 +374,5 @@ mod tests {
         assert_eq!(t.preorder().count(), 1);
         assert_eq!(t.postorder().count(), 1);
         assert_eq!(t.leaves().count(), 1);
-        assert_eq!(t.internal_nodes().count(), 0);
     }
 }

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 
 use hierdiff::edit::Matching;
 use hierdiff::tree::{Label, NodeId, NodeValue, Tree};
-use hierdiff::Differ;
+use hierdiff::{Differ, MatchStrategy};
 
 /// Builds a configuration snapshot: Building > Floor > Room > Fixture.
 /// Values are "key=K props..." strings; keys simulate database ids.
@@ -110,7 +110,7 @@ fn main() {
     );
 
     let result = Differ::new()
-        .matching(keyed)
+        .strategy(MatchStrategy::Provided(keyed))
         .diff(&baseline, &current)
         .expect("keyed diff succeeds");
 

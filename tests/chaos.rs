@@ -15,7 +15,8 @@ use std::time::{Duration, Instant};
 use hierdiff::guard::{Boundary, ChaosPanic};
 use hierdiff::tree::{isomorphic, Tree};
 use hierdiff::{
-    Audit, Budget, Budgets, CancelToken, ChaosObserver, DiffError, DiffResult, Differ, Fault, Phase,
+    Audit, Budget, Budgets, CancelToken, ChaosObserver, DiffError, DiffResult, Differ, Fault,
+    MatchStrategy, Phase,
 };
 
 fn doc(s: &str) -> Tree<String> {
@@ -63,7 +64,7 @@ fn diff_with(
     new: &Tree<String>,
 ) -> Result<DiffResult<String>, DiffError> {
     Differ::new()
-        .prune(true)
+        .strategy(MatchStrategy::fast_pruned())
         .audit(Audit::On)
         .budget(budgets)
         .observer(obs)
@@ -102,7 +103,10 @@ fn panic_at_every_boundary_is_typed_and_leaves_no_poisoned_state() {
                 }
             }
             // No poisoned global state: an ungoverned rerun still works.
-            let clean = Differ::new().prune(true).audit(Audit::On).diff(&old, &new);
+            let clean = Differ::new()
+                .strategy(MatchStrategy::fast_pruned())
+                .audit(Audit::On)
+                .diff(&old, &new);
             assert!(
                 clean.is_ok(),
                 "{phase:?}/{boundary:?} poisoned the pipeline"
@@ -124,7 +128,7 @@ fn cancel_at_every_boundary_is_cancelled_or_complete() {
             let mut obs =
                 ChaosObserver::new().inject(phase, boundary, Fault::Cancel(token.clone()));
             let result = Differ::new()
-                .prune(true)
+                .strategy(MatchStrategy::fast_pruned())
                 .audit(Audit::On)
                 .cancel(&token)
                 .observer(&mut obs)

@@ -284,7 +284,7 @@ fn leaf_only_delete_semantics() {
     .unwrap();
     let book1 = t.children(t.root())[0];
     let err = t.delete_leaf(book1).unwrap_err();
-    assert!(matches!(err, hierdiff::tree::StructureError::NotALeaf(_)));
+    assert!(matches!(err, hierdiff::tree::TreeError::NotALeaf(_)));
     // The subtree delete (a composite of leaf deletes) removes everything.
     t.delete_subtree(book1).unwrap();
     assert_eq!(t.arity(t.root()), 1);

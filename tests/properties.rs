@@ -9,7 +9,7 @@ use hierdiff::matching::{
     fast_match, fast_match_seeded, prune_identical, MatchParams, MatchResult,
 };
 use hierdiff::tree::{isomorphic, Label, NodeId, NodeValue, Tree};
-use hierdiff::Differ;
+use hierdiff::{Differ, FastMatchConfig, MatchStrategy};
 
 /// FastMatch seeded by the identical-subtree pruning pre-pass, with the
 /// pre-pass statistics folded into the counters.
@@ -18,6 +18,14 @@ fn pruned_fast_match<V: NodeValue>(t1: &Tree<V>, t2: &Tree<V>) -> MatchResult {
     let mut r = fast_match_seeded(t1, t2, MatchParams::default(), seed).unwrap();
     r.counters.absorb_prune(&stats);
     r
+}
+
+/// FastMatch with the identical-subtree pruning pre-pass on or off.
+fn fast_strategy(prune: bool) -> MatchStrategy {
+    MatchStrategy::FastMatch(FastMatchConfig {
+        prune,
+        ..FastMatchConfig::default()
+    })
 }
 
 /// A generated tree description: parent links + labels + values, decoded
@@ -242,7 +250,7 @@ proptest! {
         ops in proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 1..12),
     ) {
         let t2 = apply_random_edits(&t1, &ops);
-        let r = Differ::new().delta(false).prune(true).diff(&t1, &t2).unwrap();
+        let r = Differ::new().delta(false).strategy(MatchStrategy::fast_pruned()).diff(&t1, &t2).unwrap();
         prop_assert_eq!(verify_result(&t1, &t2, &r.matching, &r.mces), Ok(()));
         let replayed = r.mces.replay_on(&t1).unwrap();
         if !r.mces.wrapped {
@@ -265,11 +273,11 @@ proptest! {
         prune in any::<bool>(),
     ) {
         let t2 = apply_random_edits(&t1, &ops);
-        let plain = Differ::new().prune(prune).diff(&t1, &t2).unwrap();
+        let plain = Differ::new().strategy(fast_strategy(prune)).diff(&t1, &t2).unwrap();
 
         let mut recorder = hierdiff::Recorder::new();
         let observed = Differ::new()
-            .prune(prune)
+            .strategy(fast_strategy(prune))
             .profile(true)
             .observer(&mut recorder)
             .diff(&t1, &t2)
@@ -289,7 +297,7 @@ proptest! {
         prop_assert_eq!(&profile.counters, &user_profile.counters);
         // …and a repeat run reproduces the counters exactly.
         let again = Differ::new()
-            .prune(prune)
+            .strategy(fast_strategy(prune))
             .profile(true)
             .diff(&t1, &t2)
             .unwrap()
