@@ -1,5 +1,6 @@
 //! Serving-layer benchmark gate (`BENCH_serve.json`): sustained
-//! throughput, tail latency, and the chain-reuse claim.
+//! throughput, tail latency, the chain-reuse claim, and the resident
+//! cache's bytes per node.
 //!
 //! Drives a chaos-free [`DiffService`] (FastMatch rung only, so every
 //! request is deterministic) over the three paper document sets with a
@@ -14,7 +15,8 @@
 //! - `record` — measure and (over)write `BENCH_serve.json`
 //! - `gate`   — (default, run in CI) re-measure on the current build and
 //!   assert (1) the deterministic counts (requests, cache traffic, total
-//!   script length) match the recorded snapshot exactly, and (2) — in
+//!   script length, footprint bytes per node) match the recorded snapshot
+//!   exactly, and (2) — in
 //!   release builds only, where timing is meaningful — throughput and
 //!   p99 latency stay within margin of the snapshot and chain reuse
 //!   still beats from-scratch re-diffing.
@@ -25,10 +27,13 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use hierdiff_core::{Differ, MatchStrategy};
+use hierdiff_doc::parse_latex;
 use hierdiff_doc::DocValue;
 use hierdiff_serve::{DiffService, Rung, ServeConfig};
-use hierdiff_tree::{Label, NodeId, Tree};
-use hierdiff_workload::{generate_docset, generate_trace, DocSet, DocSetProfile, TraceProfile};
+use hierdiff_tree::{FingerprintIndex, Label, NodeId, Tree};
+use hierdiff_workload::{
+    generate_docset, generate_trace, render_latex_source, DocSet, DocSetProfile, TraceProfile,
+};
 use serde::{Deserialize, Serialize};
 
 const TRACE_SEED: u64 = 0x5e7e;
@@ -67,6 +72,10 @@ struct BenchFile {
     /// Wall-time ratio: from-scratch re-diff / served (higher = cache
     /// reuse wins by more).
     reuse_speedup: f64,
+    /// Resident footprint per cached node ([`footprint`]): the tree's
+    /// arena columns, and its fingerprint index. Capacity sums, so exact.
+    tree_bytes_per_node: f64,
+    index_bytes_per_node: f64,
 }
 
 fn bench_path() -> PathBuf {
@@ -83,6 +92,25 @@ struct Measurement {
     p50_nanos: u64,
     p99_nanos: u64,
     reuse_speedup: f64,
+    tree_bytes_per_node: f64,
+    index_bytes_per_node: f64,
+}
+
+/// Heap bytes per node of the cache's resident state, as (tree columns,
+/// fingerprint index). Each version is rendered to LaTeX and parsed back —
+/// the form a LaTeX-fed service ingests — then compacted and indexed as
+/// the version cache does on ingest.
+fn footprint(sets: &[DocSet]) -> (f64, f64) {
+    let (mut nodes, mut tree_bytes, mut index_bytes) = (0usize, 0usize, 0usize);
+    for version in sets.iter().flat_map(|s| &s.versions) {
+        let mut tree = parse_latex(&render_latex_source(version));
+        tree.compact();
+        nodes += tree.len();
+        tree_bytes += tree.heap_bytes();
+        index_bytes += FingerprintIndex::build(&tree).heap_bytes();
+    }
+    let per_node = |bytes: usize| bytes as f64 / nodes as f64;
+    (per_node(tree_bytes), per_node(index_bytes))
 }
 
 /// Lowers a document tree to its serialization-ready `Tree<String>` form
@@ -210,6 +238,7 @@ fn measure() -> Measurement {
         }
     }
 
+    let (tree_bytes_per_node, index_bytes_per_node) = footprint(&sets);
     let m = Measurement {
         requests: trace.len(),
         cache_hits: report.cache_hits,
@@ -220,16 +249,21 @@ fn measure() -> Measurement {
         p50_nanos: report.p50_nanos(),
         p99_nanos: report.p99_nanos(),
         reuse_speedup: scratch.as_secs_f64() / served.as_secs_f64(),
+        tree_bytes_per_node,
+        index_bytes_per_node,
     };
     println!(
         "served {} requests at {:.0} diffs/s (p50 {:.2} ms, p99 {:.2} ms), \
-         script total {}, reuse speedup x{:.2}",
+         script total {}, reuse speedup x{:.2}, footprint {:.2} + {:.2} B/node \
+         (tree + index)",
         m.requests,
         m.diffs_per_sec,
         m.p50_nanos as f64 / 1e6,
         m.p99_nanos as f64 / 1e6,
         m.total_script_len,
-        m.reuse_speedup
+        m.reuse_speedup,
+        m.tree_bytes_per_node,
+        m.index_bytes_per_node
     );
     m
 }
@@ -256,6 +290,12 @@ fn gate(recorded: &BenchFile, current: &Measurement) {
         (current.total_script_len, current.scratch_script_len),
         "served scripts drifted from BENCH_serve.json — if the pipeline changed \
          deliberately, re-record with `servebench record`"
+    );
+    assert_eq!(
+        (recorded.tree_bytes_per_node, recorded.index_bytes_per_node),
+        (current.tree_bytes_per_node, current.index_bytes_per_node),
+        "cache footprint (tree, index bytes per node) drifted from BENCH_serve.json — \
+         if the layout changed deliberately, re-record with `servebench record`"
     );
 
     let dps_floor = recorded.diffs_per_sec / DPS_MARGIN;
@@ -315,6 +355,8 @@ fn main() {
                 p50_nanos: m.p50_nanos,
                 p99_nanos: m.p99_nanos,
                 reuse_speedup: m.reuse_speedup,
+                tree_bytes_per_node: m.tree_bytes_per_node,
+                index_bytes_per_node: m.index_bytes_per_node,
             };
             let text = serde_json::to_string_pretty(&file).expect("serialize bench file");
             std::fs::write(bench_path(), text + "\n")
