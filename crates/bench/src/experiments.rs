@@ -907,8 +907,10 @@ const KERNEL_RUNS: usize = 9;
 /// near-identical sequences), the LaDiff sentence compare `word_distance`,
 /// Zhang–Shasha on section pairs of the size GumTree's recovery feeds it,
 /// Algorithm Match vs FastMatch, keyed vs content matching (the §1 "unique
-/// identifiers" fast path), and the delta layer (build, both renderers,
-/// script extraction). Each row is the median of `KERNEL_RUNS` (9) runs; the
+/// identifiers" fast path), the fingerprint index (its build, with its
+/// heap bytes as output, and pruning from two prebuilt indexes on a
+/// serve-sized pair), and the delta layer (build, both renderers, script
+/// extraction). Each row is the median of `KERNEL_RUNS` (9) runs; the
 /// output column is the call's result (pairs, matched nodes, bytes, ops),
 /// so every row also shows that its body ran.
 pub fn kernels() -> String {
@@ -916,7 +918,10 @@ pub fn kernels() -> String {
     use hierdiff_doc::{render_html, word_distance};
     use hierdiff_guard::Guard;
     use hierdiff_lcs::{lcs_dp, lcs_myers, LcsStats};
-    use hierdiff_matching::{match_by_key, match_keyed_then_content, match_simple};
+    use hierdiff_matching::{
+        match_by_key, match_keyed_then_content, match_simple, prune_identical_indexed,
+    };
+    use hierdiff_tree::FingerprintIndex;
     use hierdiff_zs::tree_mapping;
 
     let mut out = String::from("## Kernels — median wall time per call\n\n");
@@ -1024,6 +1029,32 @@ pub fn kernels() -> String {
             must(fast_match(&t1, &t2, params)).matching.len()
         });
     }
+
+    // A serve-chain-sized version pair: the cache builds one index per
+    // version and prunes each request from two cached indexes.
+    let profile = DocProfile {
+        sections: 120,
+        ..DocProfile::default()
+    };
+    let t1 = generate_document(81, &profile);
+    let (t2, _) = perturb(&t1, 82, 10, &EditMix::revision(), &profile);
+    kernel_row(
+        &mut t,
+        "FingerprintIndex::build",
+        &format!("{} nodes, 120 sections", t1.len()),
+        || FingerprintIndex::build(&t1).heap_bytes(),
+    );
+    let (idx1, idx2) = (FingerprintIndex::build(&t1), FingerprintIndex::build(&t2));
+    kernel_row(
+        &mut t,
+        "prune_identical_indexed",
+        &format!("{}+{} nodes, 10 revision edits", t1.len(), t2.len()),
+        || {
+            must(prune_identical_indexed(&t1, &idx1, &t2, &idx2))
+                .1
+                .nodes_pruned
+        },
+    );
 
     for sections in [2usize, 8, 24] {
         let profile = DocProfile {
