@@ -576,9 +576,15 @@ mod tests {
             .strategy(MatchStrategy::fast_pruned())
             .diff(&old, &new)
             .unwrap();
-        let report = r.audit.expect("audit defaults on under debug assertions");
-        assert!(report.is_clean(), "{report}");
-        assert!(report.checks_run > 0);
+        // Each profile's documented default: on (and clean) under debug
+        // assertions or the `audit-release` feature, off otherwise.
+        if cfg!(debug_assertions) || cfg!(feature = "audit-release") {
+            let report = r.audit.expect("audit defaults on under debug assertions");
+            assert!(report.is_clean(), "{report}");
+            assert!(report.checks_run > 0);
+        } else {
+            assert!(r.audit.is_none(), "plain release builds skip the audit");
+        }
     }
 
     #[test]
@@ -636,9 +642,10 @@ mod tests {
         let r = Differ::new()
             .strategy(a_k(3))
             .postprocess(true)
+            .audit(Audit::On)
             .diff(&t1, &t2)
             .unwrap();
-        let report = r.audit.expect("audit defaults on under debug assertions");
+        let report = r.audit.expect("Audit::On always reports");
         assert!(report.is_clean(), "{report}");
     }
 

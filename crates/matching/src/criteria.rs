@@ -224,25 +224,38 @@ impl LeafRanges {
     }
 }
 
-/// Per-run cache of prepared leaf values, one slot per arena index of one
-/// tree. Slots fill on first use and the table itself is only allocated by
-/// the first compare, so a run that compares no leaves (a fully pruned pair)
-/// pays nothing.
+/// Per-run cache of prepared leaf values of one tree: a `u32` slot per
+/// arena index naming the node's entry in a packed `Vec` of the values
+/// prepared so far. Only the values a run compares are stored, and the
+/// slot table is only allocated by the first compare, so a run that
+/// compares no leaves (a fully pruned pair) pays nothing.
 struct PreparedCache<P> {
-    slots: Vec<Option<P>>,
+    /// Per arena index: 1 + the position of the node's prepared value in
+    /// `values`, or 0 while it is unprepared.
+    slots: Vec<u32>,
+    values: Vec<P>,
 }
 
 impl<P> PreparedCache<P> {
     fn new() -> PreparedCache<P> {
-        PreparedCache { slots: Vec::new() }
+        PreparedCache {
+            slots: Vec::new(),
+            values: Vec::new(),
+        }
     }
 
     /// The prepared value of node `x` of `tree`, preparing it on first use.
     fn get<V: NodeValue<Prepared = P>>(&mut self, tree: &Tree<V>, x: NodeId) -> &P {
         if self.slots.is_empty() {
-            self.slots.resize_with(tree.arena_len(), || None);
+            self.slots = vec![0; tree.arena_len()];
         }
-        at_mut(&mut self.slots, x.index()).get_or_insert_with(|| tree.value(x).prepare())
+        let slot = at_mut(&mut self.slots, x.index());
+        if *slot == 0 {
+            self.values.push(tree.value(x).prepare());
+            *slot = self.values.len() as u32;
+        }
+        let i = *slot as usize - 1;
+        at_mut(&mut self.values, i)
     }
 }
 

@@ -7,7 +7,11 @@ use hierdiff::guard::Guard;
 use hierdiff::matching::{
     fast_match, fast_match_seeded, prune_identical, MatchParams, MatchResult,
 };
-use hierdiff::tree::{subtree_hashes, NodeValue, Tree};
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
+
+use hierdiff::doc::DocValue;
+use hierdiff::tree::{subtree_hashes, FingerprintIndex, NodeId, NodeValue, Tree};
 use hierdiff::workload::{generate_document, perturb, DocProfile, EditMix};
 
 /// FastMatch seeded by the identical-subtree pruning pre-pass, with the
@@ -74,6 +78,86 @@ fn fingerprints_respect_isomorphism_on_corpora() {
         }
     }
     assert!(checked > 0, "no hash agreements at all?");
+}
+
+/// `tree` with the first paragraph of every other section copied to the
+/// end of the next section, and one sentence deleted: some fingerprint
+/// chains gain members, and the arena is left dirty with a dead slot.
+fn with_duplicated_paragraphs(tree: &Tree<DocValue>) -> Tree<DocValue> {
+    let mut t = tree.clone();
+    let sections = t.children(t.root()).to_vec();
+    for (i, &from) in sections.iter().enumerate().step_by(2) {
+        let Some(&para) = t.children(from).first() else {
+            continue;
+        };
+        let to = sections[(i + 1) % sections.len()];
+        let (label, value) = (t.label(para), t.value(para).clone());
+        let copy = t.push_child(to, label, value);
+        for s in t.children(para).to_vec() {
+            let (label, value) = (t.label(s), t.value(s).clone());
+            t.push_child(copy, label, value);
+        }
+    }
+    let last = *t.children(t.root()).last().unwrap();
+    let para = t.children(last)[0];
+    t.delete_leaf(t.children(para)[0]).unwrap();
+    t
+}
+
+/// Checks every answer of `FingerprintIndex::build(t)` against a naive
+/// reference: chains as a `BTreeMap` filled in document order, heights by
+/// a post-order walk, and the tallest-first order as a stable sort of the
+/// document order by descending height. Returns the longest chain.
+fn check_index_against_reference(t: &Tree<DocValue>) -> usize {
+    let idx = FingerprintIndex::build(t);
+    let hashes = subtree_hashes(t);
+    assert_eq!(idx.dense_hashes(), hashes.as_slice());
+    let mut height = vec![0u32; t.arena_len()];
+    for id in t.postorder() {
+        let below = t.children(id).iter().map(|c| height[c.index()] + 1);
+        height[id.index()] = below.max().unwrap_or(0);
+    }
+    let mut chains: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
+    for id in t.preorder() {
+        assert_eq!(idx.hash(id), hashes[id.index()]);
+        assert_eq!(idx.height(id), height[id.index()]);
+        chains.entry(hashes[id.index()]).or_default().push(id);
+    }
+    for (&hash, chain) in &chains {
+        assert_eq!(idx.chain(hash), chain.as_slice(), "chain of {hash:#x}");
+        // Neighbouring keys probe the same table slots but are absent.
+        for near in [hash.wrapping_add(1), hash ^ (1 << 40)] {
+            if !chains.contains_key(&near) {
+                assert!(idx.chain(near).is_empty(), "absent {near:#x}");
+            }
+        }
+    }
+    let absent = (0u64..).find(|h| !chains.contains_key(h)).unwrap();
+    assert!(idx.chain(absent).is_empty());
+    let mut tallest: Vec<NodeId> = t.preorder().collect();
+    tallest.sort_by_key(|id| Reverse(height[id.index()]));
+    assert_eq!(idx.tallest_first(), tallest.as_slice());
+    chains.values().map(Vec::len).max().unwrap_or(0)
+}
+
+#[test]
+fn fingerprint_index_matches_naive_reference_on_corpora() {
+    let profile = DocProfile::default();
+    let mut longest = 0;
+    for seed in 0..4u64 {
+        let t1 = generate_document(5_600 + seed, &profile);
+        let (t2, _) = perturb(&t1, 5_700 + seed, 8, &EditMix::revision(), &profile);
+        for t in [t1, t2] {
+            let dirty = with_duplicated_paragraphs(&t);
+            assert!(!dirty.is_compact());
+            let mut compacted = dirty.clone();
+            compacted.compact();
+            for tree in [&t, &dirty, &compacted] {
+                longest = longest.max(check_index_against_reference(tree));
+            }
+        }
+    }
+    assert!(longest > 1, "the corpus must hold multi-member chains");
 }
 
 #[test]
