@@ -58,8 +58,8 @@ pub enum Audit {
     Off,
     /// Always audit, in every build profile.
     On,
-    /// The build-profile default: audit under debug assertions (or the
-    /// `audit-release` feature), skip in plain release builds.
+    /// The build-profile default: audit under debug assertions, skip in
+    /// release builds.
     #[default]
     Debug,
 }

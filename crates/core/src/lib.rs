@@ -88,10 +88,10 @@ pub use hierdiff_matching::MatchParams as Params;
 
 use crate::strategy::run_strategy;
 
-/// Whether stage-boundary auditing is on by default: always under debug
-/// assertions, and in release builds only with the `audit-release` feature.
+/// Whether stage-boundary auditing is on by default: under debug
+/// assertions only ([`Audit::On`] audits a release build per call).
 pub(crate) fn audit_default() -> bool {
-    cfg!(debug_assertions) || cfg!(feature = "audit-release")
+    cfg!(debug_assertions)
 }
 
 /// The resolved pipeline configuration assembled by the [`Differ`]
@@ -298,18 +298,40 @@ impl<V: NodeValue> DiffResult<V> {
     }
 }
 
-/// Opens a span for `phase` on the observer, if one is attached.
-pub(crate) fn span_start(obs: &mut Option<&mut dyn hierdiff_obs::PipelineObserver>, phase: Phase) {
+/// Runs `body` inside a span for `phase`: the span opens on the observer,
+/// if one is attached, and closes when `body` returns, whatever it
+/// returns, so an error leaves the phase closed too.
+pub(crate) fn in_span<T>(
+    obs: &mut Option<&mut dyn PipelineObserver>,
+    phase: Phase,
+    body: impl FnOnce(&mut Option<&mut dyn PipelineObserver>) -> T,
+) -> T {
     if let Some(o) = obs.as_mut() {
         o.phase_start(phase);
     }
-}
-
-/// Closes the span for `phase` on the observer, if one is attached.
-pub(crate) fn span_end(obs: &mut Option<&mut dyn hierdiff_obs::PipelineObserver>, phase: Phase) {
+    let out = body(obs);
     if let Some(o) = obs.as_mut() {
         o.phase_end(phase);
     }
+    out
+}
+
+/// One stage-boundary audit, when auditing is on: `check` merges its
+/// findings into `report` inside a [`Phase::Audit`] span, and a report
+/// that now holds errors fails the diff.
+fn audit_stage(
+    obs: &mut Option<&mut dyn PipelineObserver>,
+    report: Option<&mut AuditReport>,
+    check: impl FnOnce(&mut AuditReport),
+) -> Result<(), DiffError> {
+    let Some(report) = report else {
+        return Ok(());
+    };
+    in_span(obs, Phase::Audit, |_| check(report));
+    if report.has_errors() {
+        return Err(DiffError::Audit(Box::new(report.clone())));
+    }
+    Ok(())
 }
 
 /// Bulk-flushes the matching-phase counters to the observer.
@@ -362,74 +384,52 @@ pub(crate) fn diff_observed<V: NodeValue>(
     let matching = outcome.matching;
     let counters = outcome.counters;
     let rematched = outcome.rematched;
-    if let Some(report) = audit.as_mut() {
-        span_start(&mut obs, Phase::Audit);
+    audit_stage(&mut obs, audit.as_mut(), |report| {
         if let Some((seed, _)) = &outcome.prune_seed {
             report.merge(audit_prune(old, new, seed, Some(&matching)));
         }
         report.merge(audit_matching(old, new, &matching));
-        span_end(&mut obs, Phase::Audit);
-        if report.has_errors() {
-            return Err(DiffError::Audit(Box::new(report.clone())));
-        }
-    }
+    })?;
     guard.checkpoint()?;
-    span_start(&mut obs, Phase::EditScript);
-    let mces = match edit_script_guarded(old, new, &matching, &guard) {
-        Ok(mces) => {
+    let mces = in_span(&mut obs, Phase::EditScript, |obs| {
+        let mces = edit_script_guarded(old, new, &matching, &guard)?;
+        if let Some(o) = obs.as_mut() {
+            flush_mces_stats(*o, &mces.stats);
             if mces.degraded {
-                degraded.alignment = true;
+                o.add(Counter::DegradedAlignment, 1);
             }
-            if let Some(o) = obs.as_mut() {
-                flush_mces_stats(*o, &mces.stats);
-                if mces.degraded {
-                    o.add(Counter::DegradedAlignment, 1);
-                }
-            }
-            span_end(&mut obs, Phase::EditScript);
-            mces
         }
-        Err(e) => {
-            span_end(&mut obs, Phase::EditScript);
-            return Err(e.into());
-        }
-    };
-    if let Some(report) = audit.as_mut() {
-        span_start(&mut obs, Phase::Audit);
+        Ok::<_, EditScriptError>(mces)
+    })?;
+    degraded.alignment = mces.degraded;
+    audit_stage(&mut obs, audit.as_mut(), |report| {
         report.merge(audit_script(old, new, &matching, &mces));
-        span_end(&mut obs, Phase::Audit);
-        if report.has_errors() {
-            return Err(DiffError::Audit(Box::new(report.clone())));
-        }
-    }
+    })?;
     guard.checkpoint()?;
     let delta = config.build_delta.then(|| {
-        span_start(&mut obs, Phase::Delta);
-        let d = build_delta_tree(old, new, &matching, &mces);
-        if let Some(o) = obs.as_mut() {
-            o.add(Counter::DeltaNodes, d.len() as u64);
-        }
-        span_end(&mut obs, Phase::Delta);
-        d
+        in_span(&mut obs, Phase::Delta, |obs| {
+            let d = build_delta_tree(old, new, &matching, &mces);
+            if let Some(o) = obs.as_mut() {
+                o.add(Counter::DeltaNodes, d.len() as u64);
+            }
+            d
+        })
     });
-    if let (Some(report), Some(d)) = (audit.as_mut(), delta.as_ref()) {
-        span_start(&mut obs, Phase::Audit);
-        if mces.wrapped {
-            // Unmatched roots: the delta overlays the dummy-wrapped trees,
-            // so project against wrapped copies of the inputs.
-            let dummy = hierdiff_tree::Label::intern(hierdiff_edit::DUMMY_ROOT_LABEL);
-            let mut old_w = old.clone();
-            old_w.wrap_root(dummy, V::null());
-            let mut new_w = new.clone();
-            new_w.wrap_root(dummy, V::null());
-            report.merge(audit_delta(&old_w, &new_w, d));
-        } else {
-            report.merge(audit_delta(old, new, d));
-        }
-        span_end(&mut obs, Phase::Audit);
-        if report.has_errors() {
-            return Err(DiffError::Audit(Box::new(report.clone())));
-        }
+    if let Some(d) = delta.as_ref() {
+        audit_stage(&mut obs, audit.as_mut(), |report| {
+            if mces.wrapped {
+                // Unmatched roots: the delta overlays the dummy-wrapped
+                // trees, so project against wrapped copies of the inputs.
+                let dummy = hierdiff_tree::Label::intern(hierdiff_edit::DUMMY_ROOT_LABEL);
+                let mut old_w = old.clone();
+                old_w.wrap_root(dummy, V::null());
+                let mut new_w = new.clone();
+                new_w.wrap_root(dummy, V::null());
+                report.merge(audit_delta(&old_w, &new_w, d));
+            } else {
+                report.merge(audit_delta(old, new, d));
+            }
+        })?;
     }
     Ok(DiffResult {
         script: mces.script.clone(),
@@ -577,8 +577,8 @@ mod tests {
             .diff(&old, &new)
             .unwrap();
         // Each profile's documented default: on (and clean) under debug
-        // assertions or the `audit-release` feature, off otherwise.
-        if cfg!(debug_assertions) || cfg!(feature = "audit-release") {
+        // assertions, off otherwise.
+        if cfg!(debug_assertions) {
             let report = r.audit.expect("audit defaults on under debug assertions");
             assert!(report.is_clean(), "{report}");
             assert!(report.checks_run > 0);

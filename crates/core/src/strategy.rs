@@ -35,7 +35,7 @@ use hierdiff_matching::{
 use hierdiff_obs::{Counter, Phase, PipelineObserver};
 use hierdiff_tree::{NodeValue, Tree};
 
-use crate::{flush_match_counters, span_end, span_start, DiffError, PipelineConfig};
+use crate::{flush_match_counters, in_span, DiffError, PipelineConfig};
 
 /// Configuration for the [`MatchStrategy::FastMatch`] strategy.
 ///
@@ -173,125 +173,114 @@ pub(crate) fn run_strategy<V: NodeValue>(
         // the pre-pass result without rebuilding any index. The audit
         // still checks seed ⊆ matching downstream, so a stale or corrupt
         // seed cannot silently survive.
-        span_start(obs, Phase::Prune);
-        let stats = PruneStats {
-            nodes_pruned: seed.len(),
-            ..PruneStats::default()
-        };
-        if let Some(o) = obs.as_mut() {
-            o.add(Counter::NodesPruned, stats.nodes_pruned as u64);
-        }
-        span_end(obs, Phase::Prune);
+        let stats = in_span(obs, Phase::Prune, |obs| {
+            let stats = PruneStats {
+                nodes_pruned: seed.len(),
+                ..PruneStats::default()
+            };
+            if let Some(o) = obs.as_mut() {
+                o.add(Counter::NodesPruned, stats.nodes_pruned as u64);
+            }
+            stats
+        });
         Some((seed.clone(), stats))
     } else if matches!(&config.strategy, MatchStrategy::FastMatch(c) if c.prune) {
-        span_start(obs, Phase::Prune);
-        let (seed, stats) = match prune_identical(old, new, guard) {
-            Ok(v) => v,
-            Err(e) => {
-                span_end(obs, Phase::Prune);
-                return Err(e.into());
+        let pruned = in_span(obs, Phase::Prune, |obs| {
+            let (seed, stats) = prune_identical(old, new, guard)?;
+            if let Some(o) = obs.as_mut() {
+                o.add(Counter::NodesPruned, stats.nodes_pruned as u64);
+                o.add(Counter::PruneCandidates, stats.candidates as u64);
+                o.add(Counter::PruneCollisions, stats.collisions as u64);
             }
-        };
-        if let Some(o) = obs.as_mut() {
-            o.add(Counter::NodesPruned, stats.nodes_pruned as u64);
-            o.add(Counter::PruneCandidates, stats.candidates as u64);
-            o.add(Counter::PruneCollisions, stats.collisions as u64);
-        }
-        span_end(obs, Phase::Prune);
-        Some((seed, stats))
+            Ok::<_, MatchError>((seed, stats))
+        })?;
+        Some(pruned)
     } else {
         None
     };
     guard.checkpoint()?;
-    span_start(obs, Phase::Match);
-    let mut degraded_matching = false;
-    let mut gumtree_stats = None;
-    let match_outcome: Result<(Matching, MatchCounters), DiffError> = match &config.strategy {
-        MatchStrategy::FastMatch(_) => {
-            let seed = || {
-                prune_seed
-                    .as_ref()
-                    .map(|(seed, _)| seed.clone())
-                    .unwrap_or_default()
-            };
-            match fast_match_seeded_guarded(old, new, config.params, seed(), guard) {
-                Ok(r) => Ok((r.matching, r.counters)),
-                Err(MatchError::Guard(GuardError::Budget(Budget::LcsCells))) => {
-                    // The degradation ladder: FastMatch ran out of LCS
-                    // cells, so rerun the chains through the LCS-free
-                    // bounded greedy matcher — a valid (criteria-enforcing)
-                    // but possibly non-maximal matching.
-                    degraded_matching = true;
-                    bounded_greedy_match(old, new, config.params, seed(), guard, GREEDY_WINDOW)
-                        .map(|r| (r.matching, r.counters))
-                        .map_err(DiffError::from)
+    in_span(
+        obs,
+        Phase::Match,
+        |obs| -> Result<StrategyOutcome, DiffError> {
+            let mut degraded_matching = false;
+            let mut gumtree_stats = None;
+            let (mut matching, mut counters) = match &config.strategy {
+                MatchStrategy::FastMatch(_) => {
+                    let seed = || {
+                        prune_seed
+                            .as_ref()
+                            .map(|(seed, _)| seed.clone())
+                            .unwrap_or_default()
+                    };
+                    match fast_match_seeded_guarded(old, new, config.params, seed(), guard) {
+                        Ok(r) => (r.matching, r.counters),
+                        Err(MatchError::Guard(GuardError::Budget(Budget::LcsCells))) => {
+                            // The degradation ladder: FastMatch ran out of LCS
+                            // cells, so rerun the chains through the LCS-free
+                            // bounded greedy matcher — a valid
+                            // (criteria-enforcing) but possibly non-maximal
+                            // matching.
+                            degraded_matching = true;
+                            let r = bounded_greedy_match(
+                                old,
+                                new,
+                                config.params,
+                                seed(),
+                                guard,
+                                GREEDY_WINDOW,
+                            )?;
+                            (r.matching, r.counters)
+                        }
+                        Err(e) => return Err(e.into()),
+                    }
                 }
-                Err(e) => Err(e.into()),
+                MatchStrategy::Simple => {
+                    let r = match_simple(old, new, config.params)?;
+                    (r.matching, r.counters)
+                }
+                MatchStrategy::GumTree(params) => {
+                    let r = gumtree_match_guarded(old, new, *params, guard)?;
+                    // GumTree's own degradation rung: the LCS-cell budget ran
+                    // out inside the bounded-ZS recovery pass, which was
+                    // truncated (phases 1–2 completed; valid, non-maximal).
+                    degraded_matching = r.stats.recovery_truncated;
+                    gumtree_stats = Some(r.stats);
+                    (r.matching, r.counters)
+                }
+                MatchStrategy::Provided(m) => (m.clone(), MatchCounters::default()),
+            };
+            if let Some((_, stats)) = &prune_seed {
+                counters.absorb_prune(stats);
             }
-        }
-        MatchStrategy::Simple => match_simple(old, new, config.params)
-            .map(|r| (r.matching, r.counters))
-            .map_err(DiffError::from),
-        MatchStrategy::GumTree(params) => match gumtree_match_guarded(old, new, *params, guard) {
-            Ok(r) => {
-                // GumTree's own degradation rung: the LCS-cell budget ran
-                // out inside the bounded-ZS recovery pass, which was
-                // truncated (phases 1–2 completed; valid, non-maximal).
-                degraded_matching = r.stats.recovery_truncated;
-                gumtree_stats = Some(r.stats);
-                Ok((r.matching, r.counters))
+            let rematched = if config.postprocess {
+                postprocess(old, new, config.params, &mut matching)?
+            } else {
+                0
+            };
+            if let MatchStrategy::FastMatch(c) = &config.strategy {
+                let stats =
+                    recover_matched_pairs(old, new, c.max_recovery_size, &mut matching, guard)?;
+                degraded_matching |= stats.truncated;
             }
-            Err(e) => Err(e.into()),
+            if let Some(o) = obs.as_mut() {
+                flush_match_counters(*o, &counters);
+                if degraded_matching {
+                    o.add(Counter::DegradedMatching, 1);
+                }
+                if let Some(s) = &gumtree_stats {
+                    o.add(Counter::GumtreeAnchors, s.anchors as u64);
+                    o.add(Counter::GumtreeContainers, s.containers as u64);
+                    o.add(Counter::GumtreeRecovered, s.recovered as u64);
+                }
+            }
+            Ok(StrategyOutcome {
+                matching,
+                counters,
+                rematched,
+                degraded_matching,
+                prune_seed,
+            })
         },
-        MatchStrategy::Provided(m) => Ok((m.clone(), MatchCounters::default())),
-    };
-    let (mut matching, mut counters) = match match_outcome {
-        Ok(v) => v,
-        Err(e) => {
-            span_end(obs, Phase::Match);
-            return Err(e);
-        }
-    };
-    if let Some((_, stats)) = &prune_seed {
-        counters.absorb_prune(stats);
-    }
-    let rematched = if config.postprocess {
-        match postprocess(old, new, config.params, &mut matching) {
-            Ok(n) => n,
-            Err(e) => {
-                span_end(obs, Phase::Match);
-                return Err(e.into());
-            }
-        }
-    } else {
-        0
-    };
-    if let MatchStrategy::FastMatch(c) = &config.strategy {
-        match recover_matched_pairs(old, new, c.max_recovery_size, &mut matching, guard) {
-            Ok(stats) => degraded_matching |= stats.truncated,
-            Err(e) => {
-                span_end(obs, Phase::Match);
-                return Err(e.into());
-            }
-        }
-    }
-    if let Some(o) = obs.as_mut() {
-        flush_match_counters(*o, &counters);
-        if degraded_matching {
-            o.add(Counter::DegradedMatching, 1);
-        }
-        if let Some(s) = &gumtree_stats {
-            o.add(Counter::GumtreeAnchors, s.anchors as u64);
-            o.add(Counter::GumtreeContainers, s.containers as u64);
-            o.add(Counter::GumtreeRecovered, s.recovered as u64);
-        }
-    }
-    span_end(obs, Phase::Match);
-    Ok(StrategyOutcome {
-        matching,
-        counters,
-        rematched,
-        degraded_matching,
-        prune_seed,
-    })
+    )
 }

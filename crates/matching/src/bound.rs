@@ -10,7 +10,6 @@ use hierdiff_tree::{NodeId, NodeValue, Tree};
 
 use crate::criteria::{MatchCtx, MatchParams};
 use crate::error::MatchError;
-use crate::schema::LabelClasses;
 use crate::simple::{chain, label_chains, MatchResult};
 
 /// Default candidate window for [`bounded_greedy_match`]: how many
@@ -60,60 +59,48 @@ pub fn bounded_greedy_match<V: NodeValue>(
     guard: &Guard,
     window: usize,
 ) -> Result<MatchResult, MatchError> {
-    let classes = LabelClasses::classify(t1, t2, guard)?;
-    let mut ctx = MatchCtx::new(t1, t2, params, &classes);
+    let mut ctx = MatchCtx::new(t1, t2, params, guard)?;
     let mut m = seed;
     let chains1 = label_chains(t1, &[]);
     let chains2 = label_chains(t2, &[]);
     let window = window.max(1);
 
-    for (phase, phase_labels) in [&classes.leaf_labels, &classes.internal_labels]
-        .into_iter()
-        .enumerate()
-    {
-        let is_leaf_phase = phase == 0;
-        for &label in phase_labels {
-            let s1 = chain(&chains1, label);
-            let s2 = chain(&chains2, label);
-            if s1.is_empty() || s2.is_empty() {
+    for (leaf_phase, label) in ctx.classes.schedule() {
+        let s1 = chain(&chains1, label);
+        let s2 = chain(&chains2, label);
+        if s1.is_empty() || s2.is_empty() {
+            continue;
+        }
+        ctx.counters.chain_scans += 1;
+        // First-fit within a sliding window: `start` tracks the first
+        // possibly-unmatched opposite node, so already-paired prefixes
+        // are never rescanned and the chain pass stays linear.
+        let mut start = 0usize;
+        for &x in s1 {
+            if m.is_matched1(x) {
                 continue;
             }
-            ctx.counters.chain_scans += 1;
-            // First-fit within a sliding window: `start` tracks the first
-            // possibly-unmatched opposite node, so already-paired prefixes
-            // are never rescanned and the chain pass stays linear.
-            let mut start = 0usize;
-            for &x in s1 {
-                if m.is_matched1(x) {
-                    continue;
-                }
-                while start < s2.len() && m.is_matched2(at(s2, start)) {
-                    guard.tick()?;
-                    start += 1;
-                }
-                if start >= s2.len() {
+            while start < s2.len() && m.is_matched2(at(s2, start)) {
+                guard.tick()?;
+                start += 1;
+            }
+            if start >= s2.len() {
+                break;
+            }
+            let mut scanned = 0usize;
+            for &y in tail(s2, start) {
+                if scanned >= window {
                     break;
                 }
-                let mut scanned = 0usize;
-                for &y in tail(s2, start) {
-                    if scanned >= window {
-                        break;
-                    }
-                    if m.is_matched2(y) {
-                        continue;
-                    }
-                    scanned += 1;
-                    guard.tick()?;
-                    let eq = if is_leaf_phase {
-                        ctx.equal_leaves(x, y)
-                    } else {
-                        ctx.equal_internal(x, y, &m)
-                    };
-                    if eq {
-                        m.insert(x, y)
-                            .map_err(|_| MatchError::Internal("greedy pair already matched"))?;
-                        break;
-                    }
+                if m.is_matched2(y) {
+                    continue;
+                }
+                scanned += 1;
+                guard.tick()?;
+                if ctx.criterion(leaf_phase, x, y, &m) {
+                    m.insert(x, y)
+                        .map_err(|_| MatchError::Internal("greedy pair already matched"))?;
+                    break;
                 }
             }
         }
@@ -122,7 +109,6 @@ pub fn bounded_greedy_match<V: NodeValue>(
     Ok(MatchResult {
         matching: m,
         counters: ctx.counters,
-        classes,
     })
 }
 

@@ -11,15 +11,18 @@
 //!   see [`crate::mismatch`] for its empirical analysis (Table 1).
 //!
 //! [`MatchCtx`] precomputes everything the per-pair equality tests need:
-//! contained-leaf counts `|x|`, contiguous leaf ranges per subtree, and
-//! pre-order intervals for O(1) containment — keeping each internal-node
-//! comparison at the `min(|x|, |y|)` cost Appendix B charges for it. It also
-//! caches each leaf's prepared value ([`NodeValue::prepare`]) the first time
-//! Criterion 1 sees the leaf, so the `c` of the paper's `r1·c + r2` cost is
-//! paid without re-deriving a leaf's comparison state on every compare.
+//! the pair's label classes and, per tree, the document-ordered leaf list
+//! with each subtree's contiguous slice of it. The slices give `|x|` and
+//! O(1) containment of a leaf (its rank falls in the slice), keeping each
+//! internal-node comparison at the `min(|x|, |y|)` cost Appendix B charges
+//! for it. It also caches each leaf's prepared value
+//! ([`NodeValue::prepare`]) the first time Criterion 1 sees the leaf, so the
+//! `c` of the paper's `r1·c + r2` cost is paid without re-deriving a leaf's
+//! comparison state on every compare.
 
 use hierdiff_edit::Matching;
-use hierdiff_tree::{Intervals, NodeId, NodeValue, Tree};
+use hierdiff_guard::{Guard, GuardError};
+use hierdiff_tree::{NodeId, NodeValue, Tree};
 
 use crate::schema::LabelClasses;
 
@@ -222,6 +225,15 @@ impl LeafRanges {
         let (s, e) = at(&self.range, node.index());
         (e - s) as usize
     }
+
+    /// Whether the counted leaf `leaf` lies under `node`: its rank in
+    /// [`LeafRanges::order`] (the start of its own one-leaf range) falls in
+    /// `node`'s range.
+    fn contains_leaf(&self, node: NodeId, leaf: NodeId) -> bool {
+        let (s, e) = at(&self.range, node.index());
+        let rank = at(&self.range, leaf.index()).0;
+        s <= rank && rank < e
+    }
 }
 
 /// Per-run cache of prepared leaf values of one tree: a `u32` slot per
@@ -268,15 +280,11 @@ pub struct MatchCtx<'a, V: NodeValue> {
     /// Criteria parameters.
     pub params: MatchParams,
     /// Label classification for the pair.
-    pub classes: &'a LabelClasses,
+    pub classes: LabelClasses,
     /// Leaf ranges of `t1`.
     pub leaves1: LeafRanges,
     /// Leaf ranges of `t2`.
     pub leaves2: LeafRanges,
-    /// Pre-order intervals of `t1`.
-    pub iv1: Intervals,
-    /// Pre-order intervals of `t2`.
-    pub iv2: Intervals,
     /// Instrumentation (interior mutability not needed — methods take
     /// `&mut self`).
     pub counters: MatchCounters,
@@ -287,25 +295,39 @@ pub struct MatchCtx<'a, V: NodeValue> {
 }
 
 impl<'a, V: NodeValue> MatchCtx<'a, V> {
-    /// Builds the context (one O(N) pass per table).
+    /// Classifies the pair's labels under `guard`, then builds the leaf
+    /// ranges (one O(N) pass per table). The checkpoint between the passes
+    /// bounds how long a fired cancel token or expired deadline goes
+    /// unnoticed on very large inputs; under [`Guard::unlimited`] this
+    /// cannot fail.
     pub fn new(
         t1: &'a Tree<V>,
         t2: &'a Tree<V>,
         params: MatchParams,
-        classes: &'a LabelClasses,
-    ) -> MatchCtx<'a, V> {
-        MatchCtx {
+        guard: &Guard,
+    ) -> Result<MatchCtx<'a, V>, GuardError> {
+        let classes = LabelClasses::classify(t1, t2, guard)?;
+        guard.checkpoint()?;
+        Ok(MatchCtx {
             t1,
             t2,
             params,
+            leaves1: LeafRanges::new(t1, &classes),
+            leaves2: LeafRanges::new(t2, &classes),
             classes,
-            leaves1: LeafRanges::new(t1, classes),
-            leaves2: LeafRanges::new(t2, classes),
-            iv1: Intervals::new(t1),
-            iv2: Intervals::new(t2),
             counters: MatchCounters::default(),
             prepared1: PreparedCache::new(),
             prepared2: PreparedCache::new(),
+        })
+    }
+
+    /// The phase's matching criterion for `x ∈ T1` and `y ∈ T2`: Criterion 1
+    /// when `leaf_phase`, else Criterion 2 under `m`.
+    pub fn criterion(&mut self, leaf_phase: bool, x: NodeId, y: NodeId, m: &Matching) -> bool {
+        if leaf_phase {
+            self.equal_leaves(x, y)
+        } else {
+            self.equal_internal(x, y, m)
         }
     }
 
@@ -347,7 +369,10 @@ impl<'a, V: NodeValue> MatchCtx<'a, V> {
     }
 
     /// `|common(x, y)|`: matched leaf pairs `(w, z) ∈ M` with `w` contained
-    /// in `x` and `z` contained in `y`. Iterates the smaller side.
+    /// in `x` and `z` contained in `y`. Iterates the smaller side and tests
+    /// the partner's containment by leaf rank: matched nodes share a label,
+    /// and a leaf label is borne only by leaves in both trees, so every
+    /// partner of a counted leaf is itself a counted leaf.
     pub fn common(&mut self, x: NodeId, y: NodeId, m: &Matching) -> usize {
         let nx = self.leaves1.count(x);
         let ny = self.leaves2.count(y);
@@ -357,7 +382,7 @@ impl<'a, V: NodeValue> MatchCtx<'a, V> {
             for &w in self.leaves1.leaves_of(x) {
                 // analyze: allow(S031) cost charged to partner_checks; callers tick per pair
                 if let Some(z) = m.partner1(w) {
-                    if self.iv2.is_ancestor(y, z) {
+                    if self.leaves2.contains_leaf(y, z) {
                         common += 1;
                     }
                 }
@@ -367,7 +392,7 @@ impl<'a, V: NodeValue> MatchCtx<'a, V> {
             for &z in self.leaves2.leaves_of(y) {
                 // analyze: allow(S031) cost charged to partner_checks; callers tick per pair
                 if let Some(w) = m.partner2(z) {
-                    if self.iv1.is_ancestor(x, w) {
+                    if self.leaves1.contains_leaf(x, w) {
                         common += 1;
                     }
                 }
@@ -380,20 +405,18 @@ impl<'a, V: NodeValue> MatchCtx<'a, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hierdiff_guard::Guard;
     use hierdiff_tree::Tree;
 
     fn doc(s: &str) -> Tree<String> {
         Tree::parse_sexpr(s).unwrap()
     }
 
-    fn ctx_for<'a>(
-        t1: &'a Tree<String>,
-        t2: &'a Tree<String>,
+    fn ctx_for<'a, V: NodeValue>(
+        t1: &'a Tree<V>,
+        t2: &'a Tree<V>,
         params: MatchParams,
-        classes: &'a LabelClasses,
-    ) -> MatchCtx<'a, String> {
-        MatchCtx::new(t1, t2, params, classes)
+    ) -> MatchCtx<'a, V> {
+        MatchCtx::new(t1, t2, params, &Guard::unlimited()).unwrap()
     }
 
     #[test]
@@ -440,6 +463,92 @@ mod tests {
         }
     }
 
+    /// A random document whose sections and paragraphs may be empty
+    /// (childless internal-label nodes) and whose sentences repeat values.
+    fn random_doc(rng: &mut rand::rngs::StdRng) -> Tree<String> {
+        use rand::Rng;
+        let mut s = String::from("(D");
+        for _ in 0..rng.gen_range(1..4) {
+            s.push_str(" (Sec");
+            for _ in 0..rng.gen_range(0..4) {
+                if rng.gen_bool(0.2) {
+                    s.push_str(&format!(" (S \"v{}\")", rng.gen_range(0..6)));
+                    continue;
+                }
+                s.push_str(" (P");
+                for _ in 0..rng.gen_range(0..4) {
+                    s.push_str(&format!(" (S \"v{}\")", rng.gen_range(0..6)));
+                }
+                s.push(')');
+            }
+            s.push(')');
+        }
+        s.push(')');
+        doc(&s)
+    }
+
+    /// A random matching pairing same-label nodes of `t1` and `t2`.
+    fn random_label_matching(
+        rng: &mut rand::rngs::StdRng,
+        t1: &Tree<String>,
+        t2: &Tree<String>,
+    ) -> Matching {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let mut free2: Vec<NodeId> = t2.preorder().collect();
+        free2.shuffle(rng);
+        let mut m = Matching::new();
+        for x in t1.preorder() {
+            let Some(i) = free2.iter().position(|&y| t2.label(y) == t1.label(x)) else {
+                continue;
+            };
+            if rng.gen_bool(0.7) {
+                m.insert(x, free2.swap_remove(i)).unwrap();
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn common_counts_contained_matched_leaves() {
+        use rand::SeedableRng;
+        let mut childless_internal = [0usize; 2];
+        for seed in 0..32 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (c1, c2) = (random_doc(&mut rng), random_doc(&mut rng));
+            let m = random_label_matching(&mut rng, &c1, &c2);
+            let (d1, d2) = (dirty_twin(&c1), dirty_twin(&c2));
+            let classes = LabelClasses::classify(&c1, &c2, &Guard::unlimited()).unwrap();
+            for (side, t) in [&c1, &c2].into_iter().enumerate() {
+                childless_internal[side] += t
+                    .preorder()
+                    .filter(|&n| t.is_leaf(n) && !classes.is_leaf_label(t.label(n)))
+                    .count();
+            }
+            for (t1, t2) in [(&c1, &c2), (&d1, &d2), (&c1, &d2), (&d1, &c2)] {
+                let mut ctx = ctx_for(t1, t2, MatchParams::default());
+                // The partners of the matched leaves under each `x`.
+                for x in t1.preorder() {
+                    let partners: Vec<NodeId> = m
+                        .iter()
+                        .filter(|&(w, _)| {
+                            classes.is_leaf_label(t1.label(w)) && t1.is_ancestor(x, w)
+                        })
+                        .map(|(_, z)| z)
+                        .collect();
+                    for y in t2.preorder() {
+                        let want = partners.iter().filter(|&&z| t2.is_ancestor(y, z)).count();
+                        assert_eq!(ctx.common(x, y, &m), want, "seed {seed}, ({x}, {y})");
+                    }
+                }
+            }
+        }
+        assert!(
+            childless_internal.iter().all(|&n| n > 0),
+            "both sides hold empty sections or paragraphs"
+        );
+    }
+
     #[test]
     fn leaf_ranges_are_contiguous() {
         let t = doc(r#"(D (P (S "a") (S "b")) (Sec (P (S "c"))) (S "d"))"#);
@@ -464,8 +573,7 @@ mod tests {
     fn equal_leaves_applies_criterion_1() {
         let t1 = doc(r#"(D (S "hello"))"#);
         let t2 = doc(r#"(D (S "hello") (P "hello"))"#);
-        let classes = LabelClasses::classify(&t1, &t2, &Guard::unlimited()).unwrap();
-        let mut ctx = ctx_for(&t1, &t2, MatchParams::default(), &classes);
+        let mut ctx = ctx_for(&t1, &t2, MatchParams::default());
         let x = t1.children(t1.root())[0];
         let y_same = t2.children(t2.root())[0];
         let y_other_label = t2.children(t2.root())[1];
@@ -481,10 +589,9 @@ mod tests {
         let profile = DocProfile::default();
         let t1 = generate_document(15, &profile);
         let (t2, _) = perturb(&t1, 16, 40, &EditMix::default(), &profile);
-        let classes = LabelClasses::classify(&t1, &t2, &Guard::unlimited()).unwrap();
         for f in [0.0, 0.25, 0.5, 1.0] {
             let params = MatchParams::default().with_leaf_threshold(f);
-            let mut ctx = MatchCtx::new(&t1, &t2, params, &classes);
+            let mut ctx = ctx_for(&t1, &t2, params);
             let (leaves1, leaves2) = (ctx.leaves1.order.clone(), ctx.leaves2.order.clone());
             let mut matched = 0usize;
             for &x in &leaves1 {
@@ -503,8 +610,7 @@ mod tests {
         // x has leaves a b c; y1 shares all 3; y2 shares 1 of 3.
         let t1 = doc(r#"(D (P (S "a") (S "b") (S "c")))"#);
         let t2 = doc(r#"(D (P (S "a") (S "b") (S "c")) (P (S "a") (S "x") (S "y")))"#);
-        let classes = LabelClasses::classify(&t1, &t2, &Guard::unlimited()).unwrap();
-        let mut ctx = ctx_for(&t1, &t2, MatchParams::default(), &classes);
+        let mut ctx = ctx_for(&t1, &t2, MatchParams::default());
         let p1 = t1.children(t1.root())[0];
         let q1 = t2.children(t2.root())[0];
         let q2 = t2.children(t2.root())[1];
@@ -523,8 +629,7 @@ mod tests {
     fn common_iterates_smaller_side() {
         let t1 = doc(r#"(D (P (S "a")))"#);
         let t2 = doc(r#"(D (P (S "a") (S "b") (S "c") (S "d")))"#);
-        let classes = LabelClasses::classify(&t1, &t2, &Guard::unlimited()).unwrap();
-        let mut ctx = ctx_for(&t1, &t2, MatchParams::default(), &classes);
+        let mut ctx = ctx_for(&t1, &t2, MatchParams::default());
         let p1 = t1.children(t1.root())[0];
         let q1 = t2.children(t2.root())[0];
         let mut m = Matching::new();
@@ -538,8 +643,7 @@ mod tests {
     fn empty_internal_nodes_match_only_each_other() {
         let t1 = doc(r#"(D (P) (P (S "a")))"#);
         let t2 = doc(r#"(D (P) (P (S "a")))"#);
-        let classes = LabelClasses::classify(&t1, &t2, &Guard::unlimited()).unwrap();
-        let mut ctx = ctx_for(&t1, &t2, MatchParams::default(), &classes);
+        let mut ctx = ctx_for(&t1, &t2, MatchParams::default());
         let e1 = t1.children(t1.root())[0];
         let f1 = t1.children(t1.root())[1];
         let e2 = t2.children(t2.root())[0];
@@ -561,8 +665,7 @@ mod tests {
         let mut m = Matching::new();
         m.insert(t1.children(p1)[0], t2.children(q1)[0]).unwrap();
         // common = 1, max = 2 → ratio 0.5.
-        let classes = LabelClasses::classify(&t1, &t2, &Guard::unlimited()).unwrap();
-        let mut ctx = ctx_for(&t1, &t2, MatchParams::with_inner_threshold(0.5), &classes);
+        let mut ctx = ctx_for(&t1, &t2, MatchParams::with_inner_threshold(0.5));
         assert!(!ctx.equal_internal(p1, q1, &m), "ratio == t must fail");
         let mut ctx = ctx_for(
             &t1,
@@ -571,7 +674,6 @@ mod tests {
                 inner_threshold: 0.49,
                 ..MatchParams::default()
             },
-            &classes,
         );
         // (t below the paper's range, used only to verify strictness)
         assert!(ctx.equal_internal(p1, q1, &m));

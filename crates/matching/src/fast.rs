@@ -16,7 +16,6 @@ use hierdiff_tree::{NodeId, NodeValue, Tree};
 
 use crate::criteria::{MatchCtx, MatchParams};
 use crate::error::MatchError;
-use crate::schema::LabelClasses;
 use crate::simple::{chain, label_chains, MatchResult};
 
 /// Algorithm *FastMatch* (Figure 11).
@@ -68,9 +67,7 @@ pub fn fast_match_seeded_guarded<V: NodeValue>(
     // The setup passes are each O(N); checkpoints between them bound how
     // long a fired cancel token or expired deadline can go unnoticed on
     // very large inputs (the per-label loops below tick per element).
-    let classes = LabelClasses::classify(t1, t2, guard)?;
-    guard.checkpoint()?;
-    let mut ctx = MatchCtx::new(t1, t2, params, &classes);
+    let mut ctx = MatchCtx::new(t1, t2, params, guard)?;
     guard.checkpoint()?;
     // Anchored interiors are matched, so the chains need not enter them.
     let (stop1, stop2) = seed.anchor_root_masks(t1.arena_len(), t2.arena_len());
@@ -85,98 +82,93 @@ pub fn fast_match_seeded_guarded<V: NodeValue>(
     // body itself must stay allocation-free).
     let mut s1: Vec<NodeId> = Vec::new();
     let mut s2: Vec<NodeId> = Vec::new();
-    for (phase, phase_labels) in [&classes.leaf_labels, &classes.internal_labels]
-        .into_iter()
-        .enumerate()
-    {
-        guard.checkpoint()?;
-        let is_leaf_phase = phase == 0;
-        for &label in phase_labels {
-            // Seeded/already-matched nodes can never pair again, so drop them
-            // from the chains up front. (Equivalent to guarding inside the
-            // LCS equality callback — `m` is constant during one `lcs` call —
-            // but keeps Myers' O(ND) fast when a pre-pass seeded most of the
-            // chain: a mostly-matched chain otherwise has no common elements
-            // left, driving D to l1+l2 and the LCS to quadratic.)
-            s1.clear();
-            for &x in chain(&chains1, label) {
-                guard.tick()?;
-                if !m.is_matched1(x) {
-                    s1.push(x);
-                }
-            }
-            s2.clear();
-            for &y in chain(&chains2, label) {
-                guard.tick()?;
-                if !m.is_matched2(y) {
-                    s2.push(y);
-                }
-            }
-            if s1.is_empty() || s2.is_empty() {
-                continue;
-            }
+    for (leaf_phase, label) in ctx.classes.schedule() {
+        // Seeded/already-matched nodes can never pair again, so drop them
+        // from the chains up front. (Equivalent to guarding inside the
+        // LCS equality callback — `m` is constant during one `lcs` call —
+        // but keeps Myers' O(ND) fast when a pre-pass seeded most of the
+        // chain: a mostly-matched chain otherwise has no common elements
+        // left, driving D to l1+l2 and the LCS to quadratic.)
+        s1.clear();
+        for &x in chain(&chains1, label) {
             guard.tick()?;
-            ctx.counters.chain_scans += 1;
-            // 2c. Initial matching of same-order nodes via LCS. The equality
-            //     function is the phase's matching criterion.
-            let mut lcs_stats = LcsStats::default();
-            let lcs_outcome = if is_leaf_phase {
-                lcs_myers(
-                    &s1,
-                    &s2,
-                    |&x, &y| ctx.equal_leaves(x, y),
-                    &mut lcs_stats,
-                    guard,
-                )
-            } else {
-                lcs_myers(
-                    &s1,
-                    &s2,
-                    |&x, &y| ctx.equal_internal(x, y, &m),
-                    &mut lcs_stats,
-                    guard,
-                )
-            };
-            ctx.counters.lcs_cells += lcs_stats.cells;
-            let pairs = lcs_outcome?;
-            // 2d. Adopt the LCS pairs (checked unmatched, strictly
-            // increasing — a rejected insert is an invariant bug).
-            for &(i, j) in &pairs {
-                guard.tick()?;
-                m.insert(s1[i], s2[j]) // analyze: allow(S004) LCS pairs index into the chains they came from
-                    .map_err(|_| MatchError::Internal("LCS pair already matched"))?;
-            }
-            // 2e. Pair remaining unmatched nodes as in Algorithm Match.
-            for &x in &s1 {
-                guard.tick()?;
-                if m.is_matched1(x) {
-                    continue;
-                }
-                for &y in &s2 {
-                    if m.is_matched2(y) {
-                        continue;
-                    }
-                    guard.tick()?;
-                    let eq = if is_leaf_phase {
-                        ctx.equal_leaves(x, y)
-                    } else {
-                        ctx.equal_internal(x, y, &m)
-                    };
-                    if eq {
-                        m.insert(x, y)
-                            .map_err(|_| MatchError::Internal("fallback pair already matched"))?;
-                        break;
-                    }
-                }
+            if !m.is_matched1(x) {
+                s1.push(x);
             }
         }
+        s2.clear();
+        for &y in chain(&chains2, label) {
+            guard.tick()?;
+            if !m.is_matched2(y) {
+                s2.push(y);
+            }
+        }
+        if s1.is_empty() || s2.is_empty() {
+            continue;
+        }
+        guard.tick()?;
+        ctx.counters.chain_scans += 1;
+        // 2c. Initial matching of same-order nodes via LCS. The equality
+        //     function is the phase's matching criterion.
+        let mut lcs_stats = LcsStats::default();
+        let lcs_outcome = lcs_myers(
+            &s1,
+            &s2,
+            |&x, &y| ctx.criterion(leaf_phase, x, y, &m),
+            &mut lcs_stats,
+            guard,
+        );
+        ctx.counters.lcs_cells += lcs_stats.cells;
+        let pairs = lcs_outcome?;
+        // 2d. Adopt the LCS pairs (checked unmatched, strictly
+        // increasing — a rejected insert is an invariant bug).
+        for &(i, j) in &pairs {
+            guard.tick()?;
+            m.insert(s1[i], s2[j]) // analyze: allow(S004) LCS pairs index into the chains they came from
+                .map_err(|_| MatchError::Internal("LCS pair already matched"))?;
+        }
+        // 2e. Pair remaining unmatched nodes as in Algorithm Match.
+        pair_unmatched(&mut ctx, leaf_phase, &s1, &s2, &mut m, guard)?;
     }
 
     Ok(MatchResult {
         matching: m,
         counters: ctx.counters,
-        classes,
     })
+}
+
+/// Figure 10's pairing loop, shared by Algorithm *Match* (per label) and
+/// FastMatch step 2(e): each unmatched `x` of `xs` is paired with the first
+/// unmatched `y` of `ys` that passes the phase's criterion. `guard` ticks
+/// once per `x` and once per candidate `y` evaluated. It lives in this
+/// governed kernel module, so Match's per-label loop delegates its
+/// governance here.
+pub(crate) fn pair_unmatched<V: NodeValue>(
+    ctx: &mut MatchCtx<'_, V>,
+    leaf_phase: bool,
+    xs: &[NodeId],
+    ys: &[NodeId],
+    m: &mut Matching,
+    guard: &Guard,
+) -> Result<(), MatchError> {
+    for &x in xs {
+        guard.tick()?;
+        if m.is_matched1(x) {
+            continue;
+        }
+        for &y in ys {
+            if m.is_matched2(y) {
+                continue;
+            }
+            guard.tick()?;
+            if ctx.criterion(leaf_phase, x, y, m) {
+                m.insert(x, y)
+                    .map_err(|_| MatchError::Internal("fallback pair already matched"))?;
+                break;
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

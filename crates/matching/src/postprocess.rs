@@ -15,7 +15,6 @@ use hierdiff_tree::{NodeValue, Tree};
 
 use crate::criteria::{MatchCtx, MatchParams};
 use crate::error::MatchError;
-use crate::schema::LabelClasses;
 
 /// Runs the post-processing pass over `matching`, mutating it in place.
 /// Returns the number of re-matched nodes.
@@ -34,8 +33,7 @@ pub fn postprocess<V: NodeValue>(
     params: MatchParams,
     matching: &mut Matching,
 ) -> Result<usize, MatchError> {
-    let classes = LabelClasses::classify(t1, t2, &Guard::unlimited())?;
-    let mut ctx = MatchCtx::new(t1, t2, params, &classes);
+    let mut ctx = MatchCtx::new(t1, t2, params, &Guard::unlimited())?;
     let mut rematched = 0;
 
     // Top-down over T1 (BFS = parents before children).
@@ -66,12 +64,9 @@ pub fn postprocess<V: NodeValue>(
                 {
                     return false; // c2's pair is consistent: leave it alone
                 }
-                let both_leaves = t1.is_leaf(c) && t2.is_leaf(c2);
-                if both_leaves && classes.is_leaf_label(t1.label(c)) {
-                    ctx.equal_leaves(c, c2)
-                } else {
-                    ctx.equal_internal(c, c2, matching)
-                }
+                // A leaf label is borne only by leaves, in both trees.
+                let leaf_pair = ctx.classes.is_leaf_label(t1.label(c));
+                ctx.criterion(leaf_pair, c, c2, matching)
             });
             if let Some(c2) = candidate {
                 matching.remove1(c);

@@ -121,6 +121,17 @@ impl LabelClasses {
     pub fn is_leaf_label(&self, l: Label) -> bool {
         self.leaf_labels.contains(&l)
     }
+
+    /// The labels in the order Algorithms *Match* and *FastMatch* process
+    /// them, each with whether it is a leaf label: leaf labels first
+    /// (Criterion 1), then internal labels bottom-up (Criterion 2). Owned,
+    /// so a matcher can walk it while it updates its
+    /// [`MatchCtx`](crate::MatchCtx).
+    pub(crate) fn schedule(&self) -> Vec<(bool, Label)> {
+        let leaves = self.leaf_labels.iter().map(|&l| (true, l));
+        let internal = self.internal_labels.iter().map(|&l| (false, l));
+        leaves.chain(internal).collect()
+    }
 }
 
 /// A label cycle violating the acyclicity condition: following

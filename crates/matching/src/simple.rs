@@ -13,7 +13,7 @@ use hierdiff_tree::{Label, NodeId, NodeValue, Tree};
 
 use crate::criteria::{MatchCounters, MatchCtx, MatchParams};
 use crate::error::MatchError;
-use crate::schema::LabelClasses;
+use crate::fast::pair_unmatched;
 
 /// Result of a matching run.
 #[derive(Debug)]
@@ -22,8 +22,6 @@ pub struct MatchResult {
     pub matching: Matching,
     /// Instrumentation counters (`r1`, `r2` of Section 8).
     pub counters: MatchCounters,
-    /// The label classification used.
-    pub classes: LabelClasses,
 }
 
 /// Groups the live nodes of `tree` by label, preserving document order —
@@ -65,8 +63,8 @@ pub fn match_simple<V: NodeValue>(
     t2: &Tree<V>,
     params: MatchParams,
 ) -> Result<MatchResult, MatchError> {
-    let classes = LabelClasses::classify(t1, t2, &Guard::unlimited())?;
-    let mut ctx = MatchCtx::new(t1, t2, params, &classes);
+    let guard = Guard::unlimited();
+    let mut ctx = MatchCtx::new(t1, t2, params, &guard)?;
     let mut m = Matching::with_capacity(t1.arena_len(), t2.arena_len());
     let chains1 = label_chains(t1, &[]);
     let chains2 = label_chains(t2, &[]);
@@ -74,45 +72,14 @@ pub fn match_simple<V: NodeValue>(
     // Leaf labels first (Criterion 1), then internal labels bottom-up
     // (Criterion 2 — it consumes only the leaf matches, but the bottom-up
     // order mirrors Figure 10 and Theorem 5.2's construction).
-    for (phase, phase_labels) in [&classes.leaf_labels, &classes.internal_labels]
-        .into_iter()
-        .enumerate()
-    {
-        // analyze: allow(S031) Algorithm Match runs ungoverned by design
-        let is_leaf_phase = phase == 0;
-        for &label in phase_labels {
-            // analyze: allow(S031) Algorithm Match runs ungoverned by design
-            let xs = chain(&chains1, label);
-            let ys = chain(&chains2, label);
-            for &x in xs {
-                // analyze: allow(S031) Algorithm Match runs ungoverned by design
-                if m.is_matched1(x) {
-                    continue;
-                }
-                for &y in ys {
-                    // analyze: allow(S031) Algorithm Match runs ungoverned by design
-                    if m.is_matched2(y) {
-                        continue;
-                    }
-                    let eq = if is_leaf_phase {
-                        ctx.equal_leaves(x, y)
-                    } else {
-                        ctx.equal_internal(x, y, &m)
-                    };
-                    if eq {
-                        m.insert(x, y)
-                            .map_err(|_| MatchError::Internal("fallback pair already matched"))?;
-                        break;
-                    }
-                }
-            }
-        }
+    for (leaf_phase, label) in ctx.classes.schedule() {
+        let (xs, ys) = (chain(&chains1, label), chain(&chains2, label));
+        pair_unmatched(&mut ctx, leaf_phase, xs, ys, &mut m, &guard)?;
     }
 
     Ok(MatchResult {
         matching: m,
         counters: ctx.counters,
-        classes,
     })
 }
 

@@ -1,12 +1,10 @@
 //! Pre-order interval numbering for O(1) ancestor ("contains") tests.
 //!
-//! Matching Criterion 2 (Section 5.1) requires computing
-//! `common(x, y) = {(w, z) ∈ M | x contains w and y contains z}` where
-//! *contains* means "is a leaf descendant of". Evaluating containment by
-//! walking parent pointers costs O(depth) per test; with interval numbering
-//! it is two integer comparisons. Appendix B charges `min(|x|, |y|)` per
-//! internal-node comparison — interval numbering is what makes each of those
-//! charged units O(1).
+//! Deciding ancestry by walking parent pointers costs O(depth) per test;
+//! with interval numbering it is two integer comparisons, on dirty trees
+//! too. The matching audit's ancestor-order check (A014) asks one such
+//! question per matched node. (Criterion 2's `common(x, y)` needs only
+//! leaf containment, which the matchers decide by leaf rank instead.)
 
 use crate::tree::{at, at_mut, n32, NodeId, Tree};
 use crate::value::NodeValue;
